@@ -3,24 +3,24 @@
 ``sweep`` evaluates a braid closure over a grid of angles (degrees on the
 interface, radians internally) and writes a CSV with 12-significant-digit
 floats, one row per gridpoint.  Output bytes are fully determined by the
-braid, grid, epsilon and seed.  The command exits nonzero when any row
-violates the oracle tolerance or the measurement error bound, so it can
-serve as a CI acceptance gate.
+braid, grid, epsilon and seed.  The command exits 1 when any row violates
+the oracle tolerance or the measurement error bound or holds a non-finite
+value, and 2 on bad input, so it can serve as a CI acceptance gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .braid import BraidGenerator, BraidWord, parse_braid
 from .invariants import bracket_state_sum, evaluate
 from .nmr import MeasurementPrecision, controlled_u, estimate_trace, trace_error_bound
 from .pulses import compile_controlled_s, format_program, pulse_angles, verify_program
-from .tlrep import ReprParams, is_admissible, rho_generator, rho_word
+from .tlrep import ReprParams, is_admissible, rho_generator
 
 __all__ = [
     "SweepRecord",
@@ -48,6 +48,9 @@ CSV_COLUMNS = (
 
 _EXACT_TRACE_TOL = 1e-10
 _DEFAULT_ORACLE_TOL = 1e-9
+
+# largest theta grid a sweep accepts; the grid list is built in memory
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,11 @@ def run_sweep(
     prec: MeasurementPrecision = MeasurementPrecision(),
     with_oracle: bool = False,
 ) -> list[SweepRecord]:
-    """One record per grid angle; deterministic for a fixed seed.
+    """One record per grid angle, sorted by angle; deterministic for a fixed seed.
 
-    Gridpoints are evaluated concurrently; each point perturbs with seed
-    prec.seed + index, so results do not depend on scheduling.  Every angle
-    must be admissible and the word must have three strands.
+    Gridpoints are evaluated serially in input order; the point at index k
+    perturbs its trace estimate with seed prec.seed + k.  Every angle must
+    be admissible and the word must have three strands.
     """
     if b.strands != 3:
         raise ValueError(f"sweeps need a 3-strand word, got {b.strands} strands")
@@ -100,18 +103,16 @@ def run_sweep(
     for deg in thetas:
         if not is_admissible(math.radians(deg)):
             raise ValueError(f"theta = {deg} deg is outside the admissible angle set")
-
-    def point(item: tuple[int, float]) -> SweepRecord:
-        idx, deg = item
+    # rho(b) is 2x2 on three strands; the bound does not depend on the seed
+    bound = trace_error_bound(2, prec)
+    records = []
+    for idx, deg in enumerate(thetas):
         theta = math.radians(deg)
         params = ReprParams.from_theta(theta)
         values = evaluate(b, params)
-        point_prec = replace(prec, seed=prec.seed + idx)
-        unitary = rho_word(b, params)
-        trace_nmr = estimate_trace(unitary, point_prec)
+        trace_nmr = estimate_trace(values.unitary, replace(prec, seed=prec.seed + idx))
         oracle = bracket_state_sum(b, params.A) if with_oracle else None
-        bound = trace_error_bound(unitary.shape[0], point_prec)
-        return SweepRecord(
+        records.append(SweepRecord(
             theta_deg=deg,
             theta_rad=theta,
             A=params.A,
@@ -124,10 +125,7 @@ def run_sweep(
             t=values.t,
             jones=values.jones,
             eq9_bound=bound,
-        )
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(thetas)))) as pool:
-        records = list(pool.map(point, enumerate(thetas)))
+        ))
     records.sort(key=lambda r: r.theta_deg)
     return records
 
@@ -182,17 +180,21 @@ def emit_csv(records: list[SweepRecord], destination) -> None:
 
 
 def _check_records(records: list[SweepRecord], epsilon: float, oracle_tol: float) -> list[str]:
+    """One message per violated gate; the gates are written so NaN fails them."""
     problems = []
     for r in records:
+        bad = [k for k, v in vars(r).items() if v is not None and not cmath.isfinite(v)]
+        if bad:
+            problems.append(f"theta={r.theta_deg} deg: non-finite {', '.join(bad)}")
         if r.bracket_oracle is not None:
             gap = abs(r.bracket - r.bracket_oracle)
-            if gap > oracle_tol:
+            if not gap <= oracle_tol:
                 problems.append(
                     f"theta={r.theta_deg} deg: |bracket - oracle| = {gap:.3e} > {oracle_tol:.3e}"
                 )
         drift = abs(r.trace_exact - r.trace_nmr)
         limit = r.eq9_bound if epsilon > 0.0 else _EXACT_TRACE_TOL
-        if drift > limit:
+        if not drift <= limit:
             problems.append(
                 f"theta={r.theta_deg} deg: |trace - trace_nmr| = {drift:.3e} > {limit:.3e}"
             )
@@ -240,19 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     braid = preset(args.preset) if args.preset else parse_braid(args.braid, args.strands)
+    for flag in ("theta_min_deg", "theta_max_deg", "theta_step_deg", "oracle_tol"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
+    if args.oracle_tol <= 0.0:
+        raise ValueError("--oracle-tol must be positive")
+    prec = MeasurementPrecision(epsilon=args.epsilon, alpha1=args.alpha1, seed=args.seed)
     if args.theta_step_deg <= 0.0:
         raise ValueError("theta step must be positive")
     span = args.theta_max_deg - args.theta_min_deg
     if span < 0.0:
         raise ValueError("theta range is empty")
-    count = int(span / args.theta_step_deg + 1e-9) + 1
-    grid = [args.theta_min_deg + k * args.theta_step_deg for k in range(count)]
-    prec = MeasurementPrecision(epsilon=args.epsilon, alpha1=args.alpha1, seed=args.seed)
+    steps = span / args.theta_step_deg + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(f"--theta-step-deg gives more than {MAX_GRID_POINTS} grid points")
+    grid = [args.theta_min_deg + k * args.theta_step_deg for k in range(int(steps) + 1)]
     records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
-    if args.out:
-        emit_csv(records, args.out)
-    else:
-        emit_csv(records, sys.stdout)
+    emit_csv(records, args.out or sys.stdout)
     problems = _check_records(records, args.epsilon, args.oracle_tol)
     for p in problems:
         print(f"FAIL {p}", file=sys.stderr)

@@ -23,7 +23,7 @@ Temperley-Lieb diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,13 +47,14 @@ MAX_LETTERS = 20
 
 @dataclass(frozen=True)
 class InvariantValues:
-    """Closure invariants at one parameter point: t = A^-4 and jones = f."""
+    """Closure invariants at one parameter point: t = A^-4, jones = f, unitary = rho(b)."""
 
     trace: complex
     bracket: complex
     f: complex
     t: complex
     jones: complex
+    unitary: np.ndarray = field(compare=False, repr=False)
 
 
 class _UnionFind:
@@ -209,9 +210,10 @@ def evaluate(b: BraidWord, params: ReprParams) -> InvariantValues:
     alongside to pin down the fourth-root branch.  Powers of -A^3 are taken
     as integer powers of a unit complex number, so no branch cuts arise.
     """
-    trace = complex(np.trace(rho_word(b, params)))
+    unitary = rho_word(b, params)
+    trace = complex(np.trace(unitary))
     i_b = exponent_sum(b)
     a = params.A
     bracket = trace + a**i_b * (params.delta**2 - 2.0)
     f = (-(a**3)) ** (-i_b) * bracket
-    return InvariantValues(trace=trace, bracket=bracket, f=f, t=a**-4, jones=f)
+    return InvariantValues(trace=trace, bracket=bracket, f=f, t=a**-4, jones=f, unitary=unitary)

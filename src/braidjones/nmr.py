@@ -66,10 +66,10 @@ class MeasurementPrecision:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon cannot be negative")
-        if self.alpha1 <= 0.0:
-            raise ValueError("alpha1 must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
+        if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
+            raise ValueError(f"alpha1 must be finite and positive, got {self.alpha1!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,19 +136,14 @@ def prepare_rho1(m: int, alpha1: float) -> DensityOperator:
     return DensityOperator(m, mat)
 
 
-def _check_unitary(u: np.ndarray, tol: float) -> None:
-    dim = u.shape[0]
-    if u.ndim != 2 or u.shape != (dim, dim):
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > tol:
-        raise ValueError("matrix is not unitary")
-
-
 def controlled_u(U: np.ndarray) -> np.ndarray:
     """Block unitary identity (+) U: acts as U only when the probe is |1>."""
     u = np.asarray(U, dtype=complex)
-    _check_unitary(u, _UNITARY_TOL)
     dim = u.shape[0]
+    if u.ndim != 2 or u.shape != (dim, dim):
+        raise ValueError("expected a square matrix")
+    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > _UNITARY_TOL:
+        raise ValueError("matrix is not unitary")
     cu = np.zeros((2 * dim, 2 * dim), dtype=complex)
     cu[:dim, :dim] = np.eye(dim)
     cu[dim:, dim:] = u
@@ -186,36 +181,29 @@ def measure_probe(rho2: DensityOperator, prec: MeasurementPrecision) -> complex:
     return z
 
 
-_calibration_cache: dict[tuple[int, float], complex] = {}
-
-
+@lru_cache(maxsize=None)
 def _calibration_constant(work_qubits: int, alpha1: float) -> complex:
     """Measured z / trace ratio from a noise-free U = identity run.
 
-    Cached per (size, alpha1); dividing estimates by this constant removes
-    any sign or normalization convention from the readout chain.
+    Memoised, so a process calibrates each (size, alpha1) once; dividing
+    estimates by it removes any sign or normalization convention of the readout.
     """
-    key = (work_qubits, float(alpha1))
-    c = _calibration_cache.get(key)
-    if c is None:
-        rho1 = prepare_rho1(work_qubits + 1, alpha1)
-        rho2 = apply_cu(rho1, np.eye(2**work_qubits, dtype=complex))
-        z0 = measure_probe(rho2, MeasurementPrecision(epsilon=0.0, alpha1=alpha1))
-        c = z0 / 2**work_qubits
-        if abs(c) < 1e-300:
-            raise ValueError("calibration produced a vanishing constant")
-        _calibration_cache[key] = c
+    rho1 = prepare_rho1(work_qubits + 1, alpha1)
+    rho2 = apply_cu(rho1, np.eye(2**work_qubits, dtype=complex))
+    z0 = measure_probe(rho2, MeasurementPrecision(epsilon=0.0, alpha1=alpha1))
+    c = z0 / 2**work_qubits
+    if abs(c) < 1e-300:
+        raise ValueError("calibration produced a vanishing constant")
     return c
 
 
 def estimate_trace(U: np.ndarray, prec: MeasurementPrecision = MeasurementPrecision()) -> complex:
-    """End-to-end trace estimate of a unitary U; exact when epsilon = 0."""
+    """End-to-end trace estimate of a unitary U (checked by controlled_u); exact at epsilon 0."""
     u = np.asarray(U, dtype=complex)
     dim = u.shape[0]
     n = dim.bit_length() - 1
     if u.ndim != 2 or u.shape != (dim, dim) or 2**n != dim:
         raise ValueError("U must be square with power-of-two dimension")
-    _check_unitary(u, _UNITARY_TOL)
     c = _calibration_constant(n, prec.alpha1)
     rho1 = prepare_rho1(n + 1, prec.alpha1)
     rho2 = apply_cu(rho1, u)

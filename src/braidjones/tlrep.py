@@ -149,10 +149,11 @@ def rho_generator(g: BraidGenerator, params: ReprParams) -> np.ndarray:
 
 
 def rho_word(b: BraidWord, params: ReprParams) -> np.ndarray:
-    """Left-to-right product of the letter images; the identity braid gives I."""
+    """Left-to-right product of the letter images, each built once; I for the empty word."""
     if b.strands != 3:
         raise ValueError(f"the representation needs a 3-strand word, got {b.strands}")
+    images = {g: rho_generator(g, params) for g in set(b.letters)}
     result = np.eye(2, dtype=complex)
     for g in b.letters:
-        result = result @ rho_generator(g, params)
+        result = result @ images[g]
     return result

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -7,11 +9,15 @@ from pathlib import Path
 
 import pytest
 
+import braidjones.cli
+import braidjones.tlrep
 from braidjones.braid import parse_braid
 from braidjones.cli import (
     CSV_COLUMNS,
+    _check_records,
     default_grid,
     emit_csv,
+    main,
     preset,
     run_sweep,
 )
@@ -181,3 +187,72 @@ def test_cli_rejects_inadmissible_sweep():
     result = run_cli("sweep", "--preset", "trefoil", "--theta-max-deg", "45")
     assert result.returncode == 2
     assert "admissible" in result.stderr
+
+
+def test_run_sweep_builds_each_letter_image_once_per_point(monkeypatch):
+    calls = 0
+    original = braidjones.tlrep.rho_generator
+
+    def counting(g, params):
+        nonlocal calls
+        calls += 1
+        return original(g, params)
+
+    monkeypatch.setattr(braidjones.tlrep, "rho_generator", counting)
+    run_sweep(preset("borromean"), default_grid())
+    # two distinct letters (s1, s2^-1) at each of the 31 angles
+    assert calls == 2 * 31
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--epsilon", "nan"), "epsilon"),
+        (("--oracle", "--oracle-tol", "nan"), "--oracle-tol"),
+        (("--alpha1", "inf", "--epsilon", "1e-3"), "alpha1"),
+        (("--epsilon", "inf"), "epsilon"),
+        (("--theta-max-deg", "inf"), "--theta-max-deg"),
+        (("--theta-step-deg", "nan"), "--theta-step-deg"),
+    ],
+)
+def test_cli_sweep_rejects_non_finite_input(flags, named, capsys):
+    assert main(["sweep", "--preset", "trefoil", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_cli_sweep_caps_the_grid(capsys, monkeypatch):
+    assert main(["sweep", "--preset", "trefoil", "--theta-step-deg", "1e-9"]) == 2
+    assert "more than 1000000 grid points" in capsys.readouterr().err
+    monkeypatch.setattr(braidjones.cli, "MAX_GRID_POINTS", 3)
+    assert main(["sweep", "--preset", "trefoil", "--theta-max-deg", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert main(["sweep", "--preset", "trefoil", "--theta-max-deg", "3"]) == 2
+
+
+@pytest.mark.parametrize("name", ["trace_nmr", "eq9_bound", "bracket_oracle", "jones"])
+def test_check_records_flags_non_finite_fields(name):
+    (record,) = run_sweep(preset("trefoil"), [5.0], with_oracle=True)
+    assert _check_records([record], 1e-3, 1e-9) == []
+    bad = dataclasses.replace(record, **{name: math.nan})
+    problems = _check_records([bad], 1e-3, 1e-9)
+    assert problems and any(name in p for p in problems)
+
+
+# sha256 of stdout: the output bytes are a contract, so a change here is deliberate
+GOLDEN_STDOUT_SHA256 = {
+    ("sweep", "--preset", "figure8", "--epsilon", "1e-3", "--seed", "7"):
+        "8fc29dd86d6abcc0c2c0cad7d61d407d0ca6ba260cfbfdaad707ff13e32cc03f",
+    ("sweep", "--preset", "trefoil", "--oracle", "--epsilon", "0"):
+        "a14e35552d5ae9b6d99b1ae818c124fe4f698ddc7f71a47b995936b708f294f0",
+    ("compile", "--theta-deg", "15", "--which", "2"):
+        "2c66317616d5df699451f07273e28395f7063095c4f42a0bc917d53f71571374",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_STDOUT_SHA256))
+def test_cli_stdout_matches_golden_bytes(args):
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_STDOUT_SHA256[args]

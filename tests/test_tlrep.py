@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidjones.braid import BraidGenerator, invert, parse_braid
+from braidjones.braid import BraidGenerator, BraidWord, invert, parse_braid
 from braidjones.tlrep import (
     ADMISSIBLE_INTERVALS,
     ReprParams,
@@ -156,6 +158,22 @@ def test_rho_word_trefoil_closed_form():
         expected = np.diag([-params.A**-9, params.A**3])
         assert np.max(np.abs(r - expected)) < 1e-12
         assert abs(np.trace(r) - (params.A**3 - params.A**-9)) < 1e-12
+
+
+@settings(deadline=None)
+@given(
+    letters=st.lists(
+        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
+        max_size=40,
+    ),
+    theta=st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv)),
+)
+def test_rho_word_equals_letter_by_letter_product(letters, theta):
+    params = ReprParams.from_theta(theta)
+    expected = np.eye(2, dtype=complex)
+    for g in letters:
+        expected = expected @ rho_generator(g, params)
+    assert np.array_equal(rho_word(BraidWord(3, tuple(letters)), params), expected)
 
 
 def test_braid_relation():
