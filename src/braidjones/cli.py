@@ -14,10 +14,11 @@ import argparse
 import cmath
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from .braid import BraidGenerator, BraidWord, parse_braid
-from .invariants import bracket_state_sum, evaluate
+from .invariants import bracket_state_sum, check_state_sum_size, evaluate
 from .nmr import MeasurementPrecision, controlled_u, estimate_trace, trace_error_bound
 from .pulses import compile_controlled_s, format_program, pulse_angles, verify_program
 from .tlrep import ReprParams, is_admissible, rho_generator
@@ -95,10 +96,16 @@ def run_sweep(
 
     Gridpoints are evaluated serially in input order; the point at index k
     perturbs its trace estimate with seed prec.seed + k.  Every angle must
-    be admissible and the word must have three strands.
+    be admissible, the word must have three strands and, with the oracle,
+    fit the state sum's size limits.
     """
     if b.strands != 3:
         raise ValueError(f"sweeps need a 3-strand word, got {b.strands} strands")
+    if with_oracle:
+        try:
+            check_state_sum_size(b)
+        except ValueError as exc:
+            raise ValueError(f"--oracle: {exc}") from None
     thetas = [float(x) for x in thetas_deg]
     for deg in thetas:
         if not is_admissible(math.radians(deg)):
@@ -201,6 +208,14 @@ def _check_records(records: list[SweepRecord], epsilon: float, oracle_tol: float
     return problems
 
 
+def _worst_oracle_gap(records: list[SweepRecord]) -> str:
+    """The largest |bracket - oracle| and its angle; NaN counts as largest."""
+    gaps = [(abs(r.bracket - r.bracket_oracle), r.theta_deg)
+            for r in records if r.bracket_oracle is not None]
+    gap, deg = max(gaps, key=lambda g: math.inf if math.isnan(g[0]) else g[0])
+    return f"worst |bracket - oracle| = {gap:.1e} at theta={_fmt(deg)} deg"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidjones",
@@ -257,15 +272,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not steps < MAX_GRID_POINTS:
         raise ValueError(f"--theta-step-deg gives more than {MAX_GRID_POINTS} grid points")
     grid = [args.theta_min_deg + k * args.theta_step_deg for k in range(int(steps) + 1)]
-    records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
-    emit_csv(records, args.out or sys.stdout)
+    destination = nullcontext(sys.stdout)
+    if args.out:
+        try:
+            destination = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise ValueError(f"--out {args.out}: cannot write: {exc.strerror}") from None
+    with destination as out:
+        records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
+        emit_csv(records, out)
     problems = _check_records(records, args.epsilon, args.oracle_tol)
     for p in problems:
         print(f"FAIL {p}", file=sys.stderr)
-    print(
-        f"{len(records)} gridpoints, {len(problems)} violations",
-        file=sys.stderr,
-    )
+    summary = f"{len(records)} gridpoints, {len(problems)} violations"
+    if args.oracle:
+        summary += ", " + _worst_oracle_gap(records)
+    print(summary, file=sys.stderr)
     return 1 if problems else 0
 
 

@@ -9,7 +9,9 @@ The fast route closes a 3-strand word through the representation in
 and f, as a function of A, evaluated at A is the Jones value at t = A^-4.
 
 The oracle route is a Kauffman bracket state sum over all 2^c smoothings of
-the closed braid diagram.  The smoothing of a positive crossing weighted A
+the closed braid diagram; the smoothed diagrams are shared between states
+and memoised over the Catalan(n) planar diagrams, so the sum costs 2^c term
+additions.  The smoothing of a positive crossing weighted A
 is the vertical (identity) one and the cup-cap smoothing carries A^-1,
 mirrored for inverse crossings; each state contributes
 
@@ -23,6 +25,7 @@ Temperley-Lieb diagrams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,7 @@ __all__ = [
     "cup_cap",
     "compose_tl",
     "closure_loop_count",
+    "check_state_sum_size",
     "bracket_state_sum",
     "evaluate",
 ]
@@ -75,6 +79,9 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
+Matching = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class TLDiagram:
     """Planar perfect pairing of 2n boundary points: top 0..n-1, bottom n..2n-1.
@@ -86,7 +93,7 @@ class TLDiagram:
     """
 
     strands: int
-    matching: tuple[tuple[int, int], ...]
+    matching: Matching
     loops: int = 0
 
     def __post_init__(self) -> None:
@@ -174,31 +181,69 @@ def closure_loop_count(d: TLDiagram) -> int:
     return len({uf.find(q) for q in range(2 * n)}) + d.loops
 
 
+def check_state_sum_size(b: BraidWord) -> None:
+    """Refuse words over the state sum's MAX_STRANDS / MAX_LETTERS limits."""
+    if b.strands > MAX_STRANDS:
+        raise ValueError(
+            f"the word has {b.strands} strands; "
+            f"the state sum is limited to {MAX_STRANDS} strands"
+        )
+    if len(b.letters) > MAX_LETTERS:
+        raise ValueError(
+            f"the word has {len(b.letters)} letters; "
+            f"the state sum is limited to {MAX_LETTERS} letters"
+        )
+
+
+# Both caches are keyed by the pairing of a loop-free diagram, so they hold
+# at most Catalan(n) * (n - 1) entries per strand count n <= MAX_STRANDS.
+@functools.lru_cache(maxsize=None)
+def _stack_cup_cap(n: int, matching: Matching, i: int) -> tuple[Matching, int]:
+    """e_i stacked on top of the n-strand pairing: the new pairing and the circles closed."""
+    out = compose_tl(cup_cap(n, i), TLDiagram(n, matching))
+    return out.matching, out.loops
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_circles(n: int, matching: Matching) -> int:
+    return closure_loop_count(TLDiagram(n, matching))
+
+
 def bracket_state_sum(b: BraidWord, A: complex) -> complex:
     """Kauffman bracket of the braid closure by full smoothing enumeration.
 
-    Exponential-cost oracle (2^letters states), guarded to at most
-    MAX_STRANDS strands and MAX_LETTERS letters.  Independent of the
-    representation route in ``evaluate``.
+    Every one of the 2^letters states is summed, in increasing order of the
+    state's bitmask (bit j set: letter j takes its B-smoothing).  The
+    smoothed diagrams are built as suffix products, letter c-1 first, so
+    sibling states share everything below the letter where they differ;
+    stacking a cup-cap on a diagram and closing a diagram are memoised over
+    the Catalan(n) planar diagrams, which leaves 2^letters term additions as
+    the cost.  Guarded to at most MAX_STRANDS strands and MAX_LETTERS
+    letters.  Independent of the representation route in ``evaluate``.
     """
-    if b.strands > MAX_STRANDS:
-        raise ValueError(f"state sum limited to {MAX_STRANDS} strands")
-    c = len(b.letters)
-    if c > MAX_LETTERS:
-        raise ValueError(f"state sum limited to {MAX_LETTERS} letters")
+    check_state_sum_size(b)
+    n, letters = b.strands, b.letters
     a = complex(A)
     delta = -(a**2) - a**-2
     total = 0j
-    for mask in range(1 << c):
-        exp_a = 0
-        diagram = identity_diagram(b.strands)
-        for j, g in enumerate(b.letters):
-            a_branch = not (mask >> j) & 1
-            exp_a += 1 if a_branch else -1
-            if (g.sign == 1) != a_branch:
-                diagram = compose_tl(diagram, cup_cap(b.strands, g.index))
-        circles = closure_loop_count(diagram)
-        total += a**exp_a * delta ** (circles - 1)
+
+    def smooth(j: int, below: Matching, loops: int, exp_a: int) -> None:
+        # `below` holds letters j+1.. smoothed.  Taking the A-branch first
+        # reaches the states in increasing mask order, so the float terms
+        # are added in the same order as by a plain loop over the masks.
+        nonlocal total
+        if j < 0:
+            circles = _closure_circles(n, below) + loops
+            total += a**exp_a * delta ** (circles - 1)
+            return
+        g = letters[j]
+        vertical = (below, 0)
+        cupped = _stack_cup_cap(n, below, g.index)
+        a_smoothing, b_smoothing = (vertical, cupped) if g.sign == 1 else (cupped, vertical)
+        for step, (diagram, closed) in ((1, a_smoothing), (-1, b_smoothing)):
+            smooth(j - 1, diagram, loops + closed, exp_a + step)
+
+    smooth(len(letters) - 1, identity_diagram(n).matching, 0, 0)
     return total
 
 

@@ -230,6 +230,39 @@ def test_cli_sweep_caps_the_grid(capsys, monkeypatch):
     assert main(["sweep", "--preset", "trefoil", "--theta-max-deg", "3"]) == 2
 
 
+def test_cli_sweep_unwritable_out_is_bad_input(tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    result = run_cli("sweep", "--preset", "trefoil", "--out", str(target))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and str(target) in result.stderr
+    assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
+
+
+def test_run_sweep_checks_oracle_limits_before_any_gridpoint(monkeypatch, capsys):
+    def no_gridpoint(*args):
+        raise AssertionError("a gridpoint was evaluated")
+
+    monkeypatch.setattr(braidjones.cli, "evaluate", no_gridpoint)
+    with pytest.raises(ValueError, match="--oracle: the word has 21 letters; .* 20 letters"):
+        run_sweep(parse_braid("s1^21", 3), [0.0], with_oracle=True)
+    assert main(["sweep", "--braid", "s1^21", "--oracle"]) == 2
+    assert "--oracle" in capsys.readouterr().err
+
+
+def test_cli_sweep_summary_reports_worst_oracle_gap(capsys):
+    assert main(["sweep", "--preset", "borromean", "--oracle", "--theta-max-deg", "3"]) == 0
+    captured = capsys.readouterr()
+    records = run_sweep(preset("borromean"), [0.0, 1.0, 2.0, 3.0], with_oracle=True)
+    worst = max(records, key=lambda r: abs(r.bracket - r.bracket_oracle))
+    gap = abs(worst.bracket - worst.bracket_oracle)
+    assert captured.err.splitlines()[-1] == (
+        f"4 gridpoints, 0 violations, worst |bracket - oracle| = {gap:.1e} "
+        f"at theta={worst.theta_deg:g} deg"
+    )
+    assert main(["sweep", "--preset", "borromean", "--theta-max-deg", "3"]) == 0
+    assert capsys.readouterr().err == "4 gridpoints, 0 violations\n"
+
+
 @pytest.mark.parametrize("name", ["trace_nmr", "eq9_bound", "bracket_oracle", "jones"])
 def test_check_records_flags_non_finite_fields(name):
     (record,) = run_sweep(preset("trefoil"), [5.0], with_oracle=True)

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidjones.braid import BraidWord, concat, exponent_sum, invert, parse_braid
+import braidjones.invariants
+from braidjones.braid import BraidGenerator, BraidWord, concat, exponent_sum, invert, parse_braid
 from braidjones.invariants import (
     TLDiagram,
     bracket_state_sum,
@@ -17,6 +20,65 @@ from braidjones.invariants import (
 from braidjones.tlrep import ReprParams, rho_word
 
 GRID_DEG = range(31)
+
+
+def _reference_state_sum(b, A):
+    """Every smoothing diagram built from scratch, states in increasing mask order."""
+    a = complex(A)
+    delta = -(a**2) - a**-2
+    total = 0j
+    for mask in range(1 << len(b.letters)):
+        exp_a = 0
+        diagram = identity_diagram(b.strands)
+        for j, g in enumerate(b.letters):
+            a_branch = not (mask >> j) & 1
+            exp_a += 1 if a_branch else -1
+            if (g.sign == 1) != a_branch:
+                diagram = compose_tl(diagram, cup_cap(b.strands, g.index))
+        circles = closure_loop_count(diagram)
+        total += a**exp_a * delta ** (circles - 1)
+    return total
+
+
+@st.composite
+def _words(draw):
+    n = draw(st.integers(2, 5))
+    letter = st.builds(BraidGenerator, st.integers(1, n - 1), st.sampled_from((1, -1)))
+    return BraidWord(n, draw(st.lists(letter, max_size=10)))
+
+
+_unit = st.floats(0.0, 2 * math.pi).map(lambda phi: cmath.exp(1j * phi))
+_non_unit = st.builds(lambda r, z: r * z, st.floats(0.5, 2.0), _unit)
+
+
+# the reference costs up to 0.2 s on a 10-letter word; A is mostly unit-modulus
+@settings(deadline=None, max_examples=50)
+@given(b=_words(), A=st.one_of(_unit, _unit, _unit, _non_unit))
+def test_state_sum_equals_reference_enumeration(b, A):
+    assert bracket_state_sum(b, A) == _reference_state_sum(b, A)
+
+
+def test_state_sum_memoises_diagram_work(monkeypatch):
+    counts = {"compose_tl": 0, "closure_loop_count": 0}
+
+    def counting(name):
+        original = getattr(braidjones.invariants, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(braidjones.invariants, name, counting(name))
+    braidjones.invariants._stack_cup_cap.cache_clear()
+    braidjones.invariants._closure_circles.cache_clear()
+    word = parse_braid("s1 s2^-1 s1 s2 s1^-1 s2^-1 s1 s2 s1 s2^-1 s1^-1 s2", 3)
+    bracket_state_sum(word, cmath.exp(0.4j))
+    # Catalan(3) = 5 planar diagrams, each with 2 cup-caps to stack on it
+    assert counts["compose_tl"] <= 10
+    assert counts["closure_loop_count"] <= 5
 
 
 def test_diagram_validation():
