@@ -97,7 +97,8 @@ def run_sweep(
     Gridpoints are evaluated serially in input order; the point at index k
     perturbs its trace estimate with seed prec.seed + k.  Every angle must
     be admissible, the word must have three strands and, with the oracle,
-    fit the state sum's size limits.
+    fit the state sum's size limits.  A check that fails at a gridpoint
+    raises ValueError naming the angle.
     """
     if b.strands != 3:
         raise ValueError(f"sweeps need a 3-strand word, got {b.strands} strands")
@@ -115,10 +116,13 @@ def run_sweep(
     records = []
     for idx, deg in enumerate(thetas):
         theta = math.radians(deg)
-        params = ReprParams.from_theta(theta)
-        values = evaluate(b, params)
-        trace_nmr = estimate_trace(values.unitary, replace(prec, seed=prec.seed + idx))
-        oracle = bracket_state_sum(b, params.A) if with_oracle else None
+        try:
+            params = ReprParams.from_theta(theta)
+            values = evaluate(b, params)
+            trace_nmr = estimate_trace(values.unitary, replace(prec, seed=prec.seed + idx))
+            oracle = bracket_state_sum(b, params.A) if with_oracle else None
+        except ValueError as exc:
+            raise ValueError(f"theta = {deg} deg: {exc}") from None
         records.append(SweepRecord(
             theta_deg=deg,
             theta_rad=theta,
@@ -137,53 +141,24 @@ def run_sweep(
     return records
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _row(r: SweepRecord) -> str:
-    oracle_re = "" if r.bracket_oracle is None else _fmt(r.bracket_oracle.real)
-    oracle_im = "" if r.bracket_oracle is None else _fmt(r.bracket_oracle.imag)
-    fields = (
-        _fmt(r.theta_deg),
-        _fmt(r.theta_rad),
-        _fmt(r.A.real),
-        _fmt(r.A.imag),
-        _fmt(r.delta),
-        _fmt(r.trace_exact.real),
-        _fmt(r.trace_exact.imag),
-        _fmt(r.trace_nmr.real),
-        _fmt(r.trace_nmr.imag),
-        _fmt(r.bracket.real),
-        _fmt(r.bracket.imag),
-        oracle_re,
-        oracle_im,
-        _fmt(r.f.real),
-        _fmt(r.f.imag),
-        _fmt(r.t.real),
-        _fmt(r.t.imag),
-        _fmt(r.jones.real),
-        _fmt(r.jones.imag),
-        _fmt(r.eq9_bound),
-    )
-    return ",".join(fields)
+def _cells(v: float | complex | None) -> str:
+    """A float fills one CSV cell, a complex two (re,im), a skipped oracle two blanks."""
+    if v is None:
+        return ","
+    if isinstance(v, complex):
+        return f"{v.real:.12g},{v.imag:.12g}"
+    return f"{v:.12g}"
 
 
 def emit_csv(records: list[SweepRecord], destination) -> None:
-    """Header plus one row per record; byte-deterministic for fixed inputs."""
-    if hasattr(destination, "write"):
-        out = destination
-        close = False
-    else:
-        out = open(destination, "w", newline="")
-        close = True
-    try:
-        out.write(CSV_COLUMNS + "\n")
-        for r in records:
-            out.write(_row(r) + "\n")
-    finally:
-        if close:
-            out.close()
+    """Header plus one row per record to the text stream ``destination``.
+
+    A row lists the record's fields in ``SweepRecord`` order; it is
+    byte-deterministic for fixed inputs.
+    """
+    destination.write(CSV_COLUMNS + "\n")
+    for r in records:
+        destination.write(",".join(map(_cells, vars(r).values())) + "\n")
 
 
 def _check_records(records: list[SweepRecord], epsilon: float, oracle_tol: float) -> list[str]:
@@ -213,7 +188,7 @@ def _worst_oracle_gap(records: list[SweepRecord]) -> str:
     gaps = [(abs(r.bracket - r.bracket_oracle), r.theta_deg)
             for r in records if r.bracket_oracle is not None]
     gap, deg = max(gaps, key=lambda g: math.inf if math.isnan(g[0]) else g[0])
-    return f"worst |bracket - oracle| = {gap:.1e} at theta={_fmt(deg)} deg"
+    return f"worst |bracket - oracle| = {gap:.1e} at theta={deg:.12g} deg"
 
 
 def build_parser() -> argparse.ArgumentParser:

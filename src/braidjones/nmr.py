@@ -9,10 +9,12 @@ estimation pipeline is
     rho_2 = cU * rho_1 * cU^dagger                cU = identity (+) U
     z     = <I_1x + i*I_1y> on rho_2              proportional to trace(U)
 
-The proportionality constant is deliberately not hard coded: it is measured
-once per (size, alpha_1) by a noise-free U = identity run, which makes the
-returned estimate immune to sign and normalization conventions of the
-product operators.  Noise is a seeded uniform perturbation in
+The proportionality constant c is deliberately not hard coded: it is
+measured by a noise-free U = identity run, which makes the returned
+estimate immune to sign and normalization conventions of the product
+operators.  rho_1 and c depend only on (n, alpha_1), so a process builds
+them once per pair and every estimate shares them; each estimate builds
+and checks its own cU and rho_2.  Noise is a seeded uniform perturbation in
 [-epsilon*Lambda, +epsilon*Lambda] per quadrature (uniform, not Gaussian,
 because the precision contract is a hard bound), so the rescaled estimate
 always satisfies |estimate - trace(U)| <= sqrt(2)*epsilon*Lambda/|c|.
@@ -182,19 +184,24 @@ def measure_probe(rho2: DensityOperator, prec: MeasurementPrecision) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _calibration_constant(work_qubits: int, alpha1: float) -> complex:
-    """Measured z / trace ratio from a noise-free U = identity run.
+def _probe(work_qubits: int, alpha1: float) -> tuple[DensityOperator, complex]:
+    """The probe state rho_1 and its calibration constant c = z / trace(identity).
 
-    Memoised, so a process calibrates each (size, alpha1) once; dividing
-    estimates by it removes any sign or normalization convention of the readout.
+    c comes from a noise-free U = identity run on this same rho_1; dividing
+    estimates by it removes any sign or normalization convention of the
+    readout.  Memoised, so a process prepares and calibrates each
+    (size, alpha1) once.  A cache entry holds rho_1, a (2^(n+1))^2 complex
+    matrix (4x4 for the sweep's n = 1), made read-only because every
+    estimate shares it.
     """
     rho1 = prepare_rho1(work_qubits + 1, alpha1)
+    rho1.matrix.setflags(write=False)
     rho2 = apply_cu(rho1, np.eye(2**work_qubits, dtype=complex))
     z0 = measure_probe(rho2, MeasurementPrecision(epsilon=0.0, alpha1=alpha1))
     c = z0 / 2**work_qubits
     if abs(c) < 1e-300:
         raise ValueError("calibration produced a vanishing constant")
-    return c
+    return rho1, c
 
 
 def estimate_trace(U: np.ndarray, prec: MeasurementPrecision = MeasurementPrecision()) -> complex:
@@ -204,10 +211,8 @@ def estimate_trace(U: np.ndarray, prec: MeasurementPrecision = MeasurementPrecis
     n = dim.bit_length() - 1
     if u.ndim != 2 or u.shape != (dim, dim) or 2**n != dim:
         raise ValueError("U must be square with power-of-two dimension")
-    c = _calibration_constant(n, prec.alpha1)
-    rho1 = prepare_rho1(n + 1, prec.alpha1)
-    rho2 = apply_cu(rho1, u)
-    return measure_probe(rho2, prec) / c
+    rho1, c = _probe(n, prec.alpha1)
+    return measure_probe(apply_cu(rho1, u), prec) / c
 
 
 def trace_error_bound(dim: int, prec: MeasurementPrecision) -> float:
@@ -222,5 +227,5 @@ def trace_error_bound(dim: int, prec: MeasurementPrecision) -> float:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError("dimension must be a power of two")
-    c = _calibration_constant(n, prec.alpha1)
+    _, c = _probe(n, prec.alpha1)
     return math.sqrt(2.0) * prec.epsilon * PROBE_LAMBDA / abs(c)

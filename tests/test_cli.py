@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import io
@@ -14,6 +15,7 @@ import braidjones.tlrep
 from braidjones.braid import parse_braid
 from braidjones.cli import (
     CSV_COLUMNS,
+    SweepRecord,
     _check_records,
     default_grid,
     emit_csv,
@@ -112,6 +114,54 @@ def test_emit_csv_empty_and_oracle_free():
     emit_csv(records, buf)
     row = buf.getvalue().splitlines()[1].split(",")
     assert row[11] == "" and row[12] == ""
+
+
+def test_csv_header_follows_the_record_fields():
+    renamed = {"trace_exact": "trace", "bracket_oracle": "oracle"}
+    expected = []
+    for f in dataclasses.fields(SweepRecord):
+        name = renamed.get(f.name, f.name)
+        expected += [f"{name}_re", f"{name}_im"] if "complex" in f.type else [name]
+    assert CSV_COLUMNS.split(",") == expected
+
+
+def test_emit_csv_round_trips():
+    prec = MeasurementPrecision(epsilon=1e-3, alpha1=0.3, seed=5)
+    records = (
+        run_sweep(preset("borromean"), [0.0, 7.0, 30.0], prec, with_oracle=True)
+        + run_sweep(preset("figure8"), [90.0, 200.0], prec)
+    )
+    buf = io.StringIO()
+    emit_csv(records, buf)
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    assert header == CSV_COLUMNS.split(",") and len(rows) == len(records)
+    for r, row in zip(records, rows):
+        cells = iter(row)
+        for f in dataclasses.fields(SweepRecord):
+            value = getattr(r, f.name)
+            if "complex" not in f.type:
+                parts = (value,)
+            elif value is None:
+                parts = (None, None)
+            else:
+                parts = (value.real, value.imag)
+            for part in parts:
+                cell = next(cells)
+                if part is None:
+                    assert cell == ""
+                else:
+                    assert math.isclose(float(cell), part, rel_tol=6e-12, abs_tol=0.0)
+        assert next(cells, None) is None
+
+
+def test_cli_sweep_error_names_the_angle(capsys):
+    # 10^4 letters: the accumulated unitarity defect trips the unit-trace check
+    word = " ".join(["s1 s2^-1"] * 5000)
+    assert main(["sweep", "--braid", word]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: theta = ")
+    assert err.endswith(" deg: density operator must have unit trace\n")
 
 
 def test_cli_sweep_end_to_end(tmp_path):

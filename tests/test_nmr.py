@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidjones.braid import parse_braid
+import braidjones.nmr
+from braidjones.braid import BraidGenerator, BraidWord, parse_braid
+from braidjones.cli import default_grid, preset, run_sweep
 from braidjones.nmr import (
     DensityOperator,
     MeasurementPrecision,
@@ -15,7 +19,7 @@ from braidjones.nmr import (
     thermal_state,
     trace_error_bound,
 )
-from braidjones.tlrep import ReprParams, rho_word
+from braidjones.tlrep import ADMISSIBLE_INTERVALS, ReprParams, rho_word
 
 
 def _random_unitary(rng, dim):
@@ -157,3 +161,57 @@ def test_precision_validation():
         MeasurementPrecision(epsilon=-1.0)
     with pytest.raises(ValueError):
         MeasurementPrecision(alpha1=0.0)
+
+
+def test_sweep_prepares_the_probe_once(monkeypatch):
+    calls = 0
+    original = braidjones.nmr.prepare_rho1
+
+    def counting(m, alpha1):
+        nonlocal calls
+        calls += 1
+        return original(m, alpha1)
+
+    monkeypatch.setattr(braidjones.nmr, "prepare_rho1", counting)
+    braidjones.nmr._probe.cache_clear()
+    run_sweep(preset("borromean"), default_grid())
+    # one shared rho_1 serves the calibration and all 31 gridpoints
+    assert calls == 1
+    rho1, _ = braidjones.nmr._probe(1, 1.0)
+    assert not rho1.matrix.flags.writeable
+
+
+def _outcome(compute):
+    """The value, or the message of the ValueError raised instead."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(
+    letters=st.lists(
+        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
+        max_size=12,
+    ),
+    theta=st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv)),
+    epsilon=st.floats(0.0, 0.1),
+    alpha1=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_probe_matches_a_fresh_pipeline(letters, theta, epsilon, alpha1, seed):
+    u = rho_word(BraidWord(3, tuple(letters)), ReprParams.from_theta(theta))
+    prec = MeasurementPrecision(epsilon=epsilon, alpha1=alpha1, seed=seed)
+
+    def fresh():
+        _, c = braidjones.nmr._probe.__wrapped__(1, alpha1)
+        return measure_probe(apply_cu(prepare_rho1(2, alpha1), u), prec) / c
+
+    estimate = _outcome(lambda: estimate_trace(u, prec))
+    assert estimate == _outcome(fresh)
+    if isinstance(estimate, complex):
+        # 1e-10 is the exactness tolerance at epsilon 0; it also floors the
+        # bound, which leaves out float rounding, for epsilon near 0
+        limit = max(trace_error_bound(2, prec), 1e-10)
+        assert abs(estimate - np.trace(u)) <= limit
