@@ -201,9 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="evaluate a braid closure over a theta grid")
     source = sweep.add_mutually_exclusive_group(required=True)
-    source.add_argument("--braid", help='braid word, e.g. "s1 s2^-1 s1 s2^-1"')
+    source.add_argument("--braid", help='3-strand braid word, e.g. "s1 s2^-1 s1 s2^-1"')
     source.add_argument("--preset", choices=sorted(PRESETS), help="built-in knot")
-    sweep.add_argument("--strands", type=int, default=3, help="strand count for --braid")
     sweep.add_argument("--theta-min-deg", type=float, default=0.0)
     sweep.add_argument("--theta-max-deg", type=float, default=30.0)
     sweep.add_argument("--theta-step-deg", type=float, default=1.0)
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    braid = preset(args.preset) if args.preset else parse_braid(args.braid, args.strands)
+    braid = preset(args.preset) if args.preset else parse_braid(args.braid, 3)
     for flag in ("theta_min_deg", "theta_max_deg", "theta_step_deg", "oracle_tol"):
         if not math.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite")

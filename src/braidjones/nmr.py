@@ -94,7 +94,15 @@ class DensityOperator:
 
 
 @lru_cache(maxsize=None)
-def _product_operator_cached(m: int, slot: int, axis: str) -> np.ndarray:
+def product_operator(m: int, slot: int, axis: str) -> np.ndarray:
+    """I_{l,axis}: half of a Pauli on qubit ``slot`` (1-based), identity elsewhere.
+
+    Memoised and read-only; invalid arguments raise, so they are never cached.
+    """
+    if not 1 <= slot <= m:
+        raise ValueError(f"qubit slot {slot} out of range for {m} qubits")
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"axis must be x, y or z, got {axis!r}")
     sigma = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
     op = np.eye(1, dtype=complex)
     for l in range(1, m + 1):
@@ -102,15 +110,6 @@ def _product_operator_cached(m: int, slot: int, axis: str) -> np.ndarray:
     op = 0.5 * op
     op.setflags(write=False)
     return op
-
-
-def product_operator(m: int, slot: int, axis: str) -> np.ndarray:
-    """I_{l,axis}: half of a Pauli on qubit ``slot`` (1-based), identity elsewhere."""
-    if not 1 <= slot <= m:
-        raise ValueError(f"qubit slot {slot} out of range for {m} qubits")
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    return _product_operator_cached(m, slot, axis)
 
 
 def thermal_state(alphas: list[float], m: int) -> DensityOperator:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tlrep import ReprParams, build_U
+from .tlrep import ReprParams
 
 __all__ = [
     "LineGraph",
@@ -64,17 +64,18 @@ class PathBasis:
 
 @dataclass(frozen=True)
 class AjlParams:
-    """Path-model parameters: d = 2*cos(theta), A = i*exp(i*theta/2).
+    """Path-model parameters at angle theta on ``nodes`` nodes.
 
-    Valid only when lam(k) = sin(k*theta) is strictly positive for every
-    node label k = 1..nodes (lam(0) = 0 is always fine); ties where some
+    Construction derives d = 2*cos(theta) and A = i*exp(i*theta/2).  Valid
+    only when lam(k) = sin(k*theta) is strictly positive for every node
+    label k = 1..nodes (lam(0) = 0 is always fine); ties where some
     sin(k*theta) vanishes are rejected.
     """
 
     theta: float
     nodes: int
-    d: float
-    A: complex
+    d: float = field(init=False)
+    A: complex = field(init=False)
 
     _POSITIVITY_TOL = 1e-12
 
@@ -87,15 +88,12 @@ class AjlParams:
                     f"sin({k}*theta) must be strictly positive, "
                     f"got {math.sin(k * self.theta)!r} at theta={self.theta!r}"
                 )
+        object.__setattr__(self, "d", 2.0 * math.cos(self.theta))
+        object.__setattr__(self, "A", 1j * cmath.exp(0.5j * self.theta))
 
     @classmethod
     def from_theta(cls, theta: float, nodes: int) -> AjlParams:
-        return cls(
-            theta=theta,
-            nodes=nodes,
-            d=2.0 * math.cos(theta),
-            A=1j * cmath.exp(0.5j * theta),
-        )
+        return cls(theta, nodes)
 
     def lam(self, k: int) -> float:
         """Node weight lam(k) = sin(k*theta)."""
@@ -213,7 +211,7 @@ def two_projector_correspondence_check(theta: float) -> float:
         e2 = build_E(2, params, basis)
         a_path = params.A
     ref = ReprParams.from_theta(math.pi / 2 + theta / 2)
-    u1, u2 = build_U(ref)
+    u1, u2 = ref.generators
     deviation = 0.0
     for e, u in ((e1, u1), (e2, u2)):
         e_swapped = _BASIS_SWAP @ e @ _BASIS_SWAP

@@ -17,15 +17,15 @@ union
 
     [0, pi/6] u [pi/3, 2pi/3] u [5pi/6, 7pi/6] u [4pi/3, 5pi/3] u [11pi/6, 2pi].
 
-At the interval endpoints delta^2 = 1 and U2 degenerates to a rank-1
-diagonal; that is handled, not an error.
+A point is fixed by theta alone.  At the interval endpoints delta^2 = 1, the
+pair stays real and U2 degenerates to a rank-1 diagonal: handled, not an error.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def is_admissible(theta: float) -> bool:
 
 @dataclass(frozen=True)
 class ReprParams:
-    """Representation point: A = exp(i*theta) and delta = -A^2 - A^-2.
+    """Representation point fixed by theta alone; A, delta and the real (U1, U2) are derived.
 
     Construction fails outside the admissible angle set; to probe the
     non-unitary continuation at gap angles, call ``tl_generators`` with the
@@ -81,23 +81,21 @@ class ReprParams:
     """
 
     theta: float
-    A: complex
-    delta: float
+    A: complex = field(init=False)
+    delta: float = field(init=False)
+    generators: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if abs(abs(self.A) - 1.0) > 1e-12:
-            raise ValueError("A must be a unit complex number")
-        if abs(complex(self.delta) - (-self.A**2 - self.A**-2)) > 1e-12:
-            raise ValueError("delta is inconsistent with A")
         if not is_admissible(self.theta):
-            raise ValueError(
-                f"theta={self.theta!r} lies outside the admissible angle set"
-            )
+            raise ValueError(f"theta={self.theta!r} lies outside the admissible angle set")
+        object.__setattr__(self, "A", cmath.exp(1j * self.theta))
+        object.__setattr__(self, "delta", delta_from_theta(self.theta))
+        object.__setattr__(self, "generators", build_U(self))
 
     @classmethod
     def from_theta(cls, theta: float) -> ReprParams:
         """Parameters at angle theta; raises ValueError off the admissible set."""
-        return cls(theta=theta, A=cmath.exp(1j * theta), delta=delta_from_theta(theta))
+        return cls(theta)
 
 
 def tl_generators(delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,20 +110,23 @@ def tl_generators(delta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("delta = 0 makes U2 singular")
     inv = 1.0 / delta
     b_sq = 1.0 - inv * inv
-    if b_sq >= 0.0:
-        b = math.sqrt(b_sq)
-        u1 = np.array([[delta, 0.0], [0.0, 0.0]])
-        u2 = np.array([[inv, b], [b, delta - inv]])
-    else:
-        bc = 1j * math.sqrt(-b_sq)
-        u1 = np.array([[delta, 0.0], [0.0, 0.0]], dtype=complex)
-        u2 = np.array([[inv, bc], [bc, delta - inv]], dtype=complex)
+    b = math.sqrt(b_sq) if b_sq >= 0.0 else 1j * math.sqrt(-b_sq)
+    u2 = np.array([[inv, b], [b, delta - inv]])
+    u1 = np.zeros_like(u2)
+    u1[0, 0] = delta
     return u1, u2
 
 
 def build_U(params: ReprParams) -> tuple[np.ndarray, np.ndarray]:
-    """(U1, U2) at admissible parameters; both real symmetric."""
-    return tl_generators(params.delta)
+    """(U1, U2) at admissible parameters; both real symmetric and read-only.
+
+    delta^2 >= 1 there, so a negative 1 - delta^-2 is rounding at an
+    endpoint; taking the real part leaves the endpoint's exact b = 0.
+    """
+    pair = tuple(u.real for u in tl_generators(params.delta))
+    for u in pair:
+        u.setflags(write=False)
+    return pair
 
 
 def rho_generator(g: BraidGenerator, params: ReprParams) -> np.ndarray:
@@ -140,8 +141,7 @@ def rho_generator(g: BraidGenerator, params: ReprParams) -> np.ndarray:
         raise ValueError(
             f"s{g.index} is not supported: the representation is three-strand only"
         )
-    u1, u2 = build_U(params)
-    u = u1 if g.index == 1 else u2
+    u = params.generators[g.index - 1]
     m = params.A * np.eye(2, dtype=complex) + u / params.A
     if g.sign == -1:
         m = m.conj().T

@@ -254,6 +254,44 @@ def test_run_sweep_builds_each_letter_image_once_per_point(monkeypatch):
     assert calls == 2 * 31
 
 
+def test_run_sweep_builds_one_generator_pair_per_point(monkeypatch):
+    calls = 0
+    original = braidjones.tlrep.tl_generators
+
+    def counting(delta):
+        nonlocal calls
+        calls += 1
+        return original(delta)
+
+    monkeypatch.setattr(braidjones.tlrep, "tl_generators", counting)
+    run_sweep(preset("borromean"), default_grid())
+    # ReprParams builds (U1, U2) once; both letter images read that pair
+    assert calls == 31
+
+
+@pytest.mark.parametrize("deg", ["0", "30", "60", "120", "150", "210", "240", "300", "330", "360"])
+def test_cli_sweep_passes_at_each_interval_endpoint(deg, capsys):
+    args = ["--theta-min-deg", deg, "--theta-max-deg", deg, "--oracle", "--epsilon", "0"]
+    assert main(["sweep", "--preset", "borromean", *args]) == 0
+    assert "1 gridpoints, 0 violations" in capsys.readouterr().err
+
+
+def test_cli_sweep_from_an_endpoint_to_an_endpoint():
+    result = run_cli("sweep", "--preset", "figure8", "--theta-min-deg", "60",
+                     "--theta-max-deg", "120", "--oracle", "--epsilon", "0")
+    assert result.returncode == 0, result.stderr
+    assert "61 gridpoints, 0 violations" in result.stderr
+
+
+def test_cli_sweep_parses_braid_on_three_strands(capsys):
+    assert main(["sweep", "--braid", "s1 s3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "s3" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--braid", "s1", "--strands", "4"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [

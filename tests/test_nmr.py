@@ -16,6 +16,7 @@ from braidjones.nmr import (
     estimate_trace,
     measure_probe,
     prepare_rho1,
+    product_operator,
     thermal_state,
     trace_error_bound,
 )
@@ -161,6 +162,16 @@ def test_precision_validation():
         MeasurementPrecision(epsilon=-1.0)
     with pytest.raises(ValueError):
         MeasurementPrecision(alpha1=0.0)
+
+
+def test_product_operator_caches_valid_arguments_only():
+    product_operator.cache_clear()
+    op = product_operator(3, 2, "y")
+    assert product_operator(3, 2, "y") is op and not op.flags.writeable
+    for bad in ((3, 0, "x"), (3, 4, "x"), (3, 1, "w")):
+        with pytest.raises(ValueError):
+            product_operator(*bad)
+    assert product_operator.cache_info().currsize == 1
 
 
 def test_sweep_prepares_the_probe_once(monkeypatch):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -63,6 +64,15 @@ def test_ajl_params_rejects_vanishing_weights():
         AjlParams.from_theta(math.pi / 3, 3)
     with pytest.raises(ValueError, match="strictly positive"):
         AjlParams.from_theta(math.pi / 2, 3)
+
+
+def test_ajl_params_derives_d_and_a_from_theta():
+    params = AjlParams(0.4, 3)
+    assert params == AjlParams.from_theta(0.4, 3)
+    assert params.d == 2.0 * math.cos(0.4)
+    assert params.A == 1j * cmath.exp(0.2j)
+    with pytest.raises(TypeError):
+        AjlParams(0.4, 3, params.d, params.A)
 
 
 def test_lam_recursion_identity():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidjones.braid import BraidGenerator, BraidWord, invert, parse_braid
+from braidjones.nmr import controlled_u
 from braidjones.tlrep import (
     ADMISSIBLE_INTERVALS,
     ReprParams,
@@ -61,6 +62,37 @@ def test_admissible_means_delta_squared_at_least_one():
 def test_repr_params_rejects_gap_angles():
     with pytest.raises(ValueError, match="admissible"):
         ReprParams.from_theta(math.pi / 4)
+
+
+ENDPOINTS_DEG = (0, 30, 60, 120, 150, 210, 240, 300, 330, 360)
+ENDPOINTS_RAD = sorted({x for interval in ADMISSIBLE_INTERVALS for x in interval})
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [math.radians(d) for d in ENDPOINTS_DEG]
+    + [x + o for x in ENDPOINTS_RAD for o in (-1e-12, 1e-12)],
+)
+def test_endpoints_give_real_generators_and_unitary_images(theta):
+    # within is_admissible's slop a negative 1 - delta^-2 is rounding, not a gap angle
+    assert is_admissible(theta)
+    params = ReprParams(theta)
+    assert all(np.isrealobj(u) for u in params.generators)
+    for index in (1, 2):
+        for sign in (1, -1):
+            controlled_u(rho_generator(BraidGenerator(index, sign), params))
+
+
+def test_repr_params_derives_everything_from_theta():
+    params = ReprParams(0.3)
+    assert params == ReprParams.from_theta(0.3)
+    assert hash(params) == hash(ReprParams(0.3))
+    assert params.A == cmath.exp(0.3j) and params.delta == delta_from_theta(0.3)
+    assert "generators" not in repr(params)
+    for built, u in zip(build_U(params), params.generators):
+        assert np.array_equal(built, u) and not u.flags.writeable
+    with pytest.raises(TypeError):
+        ReprParams(0.3, params.A, params.delta)
 
 
 def test_repr_params_invariants():
