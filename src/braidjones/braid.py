@@ -9,14 +9,25 @@ Words are written in a small ASCII grammar, shell-safe on purpose:
 letter, and the empty word is the identity braid.  The parser is n-strand
 general; strand limits specific to a representation are enforced by the
 modules that need them, not here.
+
+Per-letter work is paid once per word.  ``parse_braid`` expands each
+distinct term once, so equal letters of a parsed word are one shared
+object, and refuses a word of more than ``MAX_WORD_LETTERS`` letters before
+a power expands.  A ``BraidWord`` derives, at construction, its
+``alphabet`` (the distinct letters in order of first appearance) and its
+``codes`` (the word as indices into the alphabet), so code that maps
+letters to matrices builds one image per alphabet entry and indexes it per
+letter, hashing no letter.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice
 
 __all__ = [
+    "MAX_WORD_LETTERS",
     "BraidGenerator",
     "BraidWord",
     "BraidParseError",
@@ -26,6 +37,8 @@ __all__ = [
     "invert",
     "concat",
 ]
+
+MAX_WORD_LETTERS = 10**6
 
 
 class BraidParseError(ValueError):
@@ -52,16 +65,30 @@ class BraidGenerator:
 
 @dataclass(frozen=True)
 class BraidWord:
-    """Ordered product of generators of B_strands; immutable, safe to share."""
+    """Ordered product of generators of B_strands; immutable, safe to share.
+
+    ``alphabet`` and ``codes`` are derived: ``letters[j]`` equals
+    ``alphabet[codes[j]]``.
+    """
 
     strands: int
     letters: tuple[BraidGenerator, ...] = ()
+    alphabet: tuple[BraidGenerator, ...] = field(init=False, compare=False, repr=False)
+    codes: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
         if self.strands < 2:
             raise ValueError(f"need at least 2 strands, got {self.strands}")
-        for g in self.letters:
+        # Keyed by object first: a parsed word shares its letters, so each
+        # distinct object is hashed once and the per-letter work stays in C.
+        objects = dict(zip(map(id, letters), letters))
+        index: dict[BraidGenerator, int] = {}
+        code_of = {key: index.setdefault(g, len(index)) for key, g in objects.items()}
+        object.__setattr__(self, "codes", tuple(map(code_of.__getitem__, map(id, letters))))
+        object.__setattr__(self, "alphabet", tuple(index))
+        for g in self.alphabet:
             if g.index > self.strands - 1:
                 raise ValueError(
                     f"generator s{g.index} out of range for {self.strands} strands"
@@ -71,6 +98,7 @@ class BraidWord:
         return len(self.letters)
 
 
+_TOKEN_RE = re.compile(r"\S+")
 _TERM_RE = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?\Z")
 
 
@@ -78,32 +106,58 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse ``text`` into a BraidWord on ``strands`` strands.
 
     Powers expand left to right, so ``s1^3`` yields three ``s1`` letters and
-    a negative power yields |k| inverse letters.  Raises BraidParseError
-    (with the offending position) for syntax errors, out-of-range generator
-    indices and zero exponents.
+    a negative power yields |k| inverse letters.  Each distinct term is
+    checked and expanded once, and equal letters are one shared object.
+    Raises BraidParseError (with the offending position) for syntax errors,
+    out-of-range generator indices and zero exponents, at the first bad
+    term; then, before any power expands, for a word longer than
+    MAX_WORD_LETTERS, at the term that crosses the limit.
     """
     if strands < 2:
         raise ValueError(f"need at least 2 strands, got {strands}")
-    letters: list[BraidGenerator] = []
-    for token_match in re.finditer(r"\S+", text):
-        token = token_match.group(0)
-        pos = token_match.start()
-        m = _TERM_RE.match(token)
-        if m is None:
-            raise BraidParseError(f"cannot parse braid term {token!r}", pos)
-        index = int(m.group(1))
-        if index < 1:
-            raise BraidParseError("generator index must be >= 1", pos)
-        if index > strands - 1:
-            raise BraidParseError(
-                f"generator s{index} out of range for {strands} strands", pos
-            )
-        power = 1 if m.group(2) is None else int(m.group(2))
-        if power == 0:
-            raise BraidParseError("zero exponent is not allowed", pos)
-        sign = 1 if power > 0 else -1
-        letters.extend(BraidGenerator(index, sign) for _ in range(abs(power)))
-    return BraidWord(strands, tuple(letters))
+    tokens = text.split()
+    generators: dict[tuple[int, int], BraidGenerator] = {}
+    terms: dict[str, tuple[BraidGenerator, int]] = {}
+    for token in dict.fromkeys(tokens):
+        try:
+            terms[token] = _parse_term(token, strands, generators)
+        except ValueError as exc:
+            raise BraidParseError(str(exc), _token_start(text, tokens.index(token))) from None
+    counts = [count for _, count in map(terms.__getitem__, tokens)]
+    if sum(counts) > MAX_WORD_LETTERS:
+        crossing = next(j for j, n in enumerate(accumulate(counts)) if n > MAX_WORD_LETTERS)
+        raise BraidParseError(
+            f"the word has more than {MAX_WORD_LETTERS} letters", _token_start(text, crossing)
+        )
+    expansions = {token: (g,) * count for token, (g, count) in terms.items()}
+    return BraidWord(strands, tuple(chain.from_iterable(map(expansions.__getitem__, tokens))))
+
+
+def _parse_term(
+    token: str, strands: int, generators: dict[tuple[int, int], BraidGenerator]
+) -> tuple[BraidGenerator, int]:
+    """(letter, repeat count) of one term; equal letters come from ``generators``.
+
+    Raises ValueError with the message parse_braid reports for a bad term.
+    """
+    m = _TERM_RE.match(token)
+    if m is None:
+        raise ValueError(f"cannot parse braid term {token!r}")
+    index = int(m.group(1))
+    if index < 1:
+        raise ValueError("generator index must be >= 1")
+    if index > strands - 1:
+        raise ValueError(f"generator s{index} out of range for {strands} strands")
+    power = 1 if m.group(2) is None else int(m.group(2))
+    if power == 0:
+        raise ValueError("zero exponent is not allowed")
+    sign = 1 if power > 0 else -1
+    return generators.setdefault((index, sign), BraidGenerator(index, sign)), abs(power)
+
+
+def _token_start(text: str, j: int) -> int:
+    """Character offset of the j-th whitespace-separated token of ``text``."""
+    return next(islice(_TOKEN_RE.finditer(text), j, None)).start()
 
 
 def render(b: BraidWord) -> str:
@@ -115,7 +169,7 @@ def render(b: BraidWord) -> str:
 
 def exponent_sum(b: BraidWord) -> int:
     """Sum of the letter signs, the exponent count I(b) used in normalization."""
-    return sum(g.sign for g in b.letters)
+    return sum(g.sign * b.codes.count(k) for k, g in enumerate(b.alphabet))
 
 
 def invert(b: BraidWord) -> BraidWord:

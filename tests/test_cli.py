@@ -4,8 +4,10 @@ import hashlib
 import io
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -377,3 +379,34 @@ def test_cli_stdout_matches_golden_bytes(args):
     assert result.returncode == 0, result.stderr
     digest = hashlib.sha256(result.stdout.encode("ascii")).hexdigest()
     assert digest == GOLDEN_STDOUT_SHA256[args]
+
+
+def _long_word(seed, length):
+    return " ".join(random.Random(seed).choices(("s1", "s2", "s1^-1", "s2^-1"), k=length))
+
+
+# recorded before letters were shared and coded, so the long-word path keeps its bytes
+LONG_WORD_GOLDEN_SHA256 = "1c1ef30f338063ee7c4486e7c04b099e8b241df047367b13ec55c6743e0b7fdf"
+
+
+def test_cli_long_word_stdout_matches_golden_bytes():
+    result = run_cli(
+        "sweep", "--braid", _long_word(7, 3000),
+        "--theta-step-deg", "5", "--epsilon", "1e-3", "--seed", "7",
+    )
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode("ascii")).hexdigest()
+    assert digest == LONG_WORD_GOLDEN_SHA256
+
+
+def test_cli_sweep_refuses_a_word_over_the_letter_cap(capsys):
+    start = time.perf_counter()
+    assert main(["sweep", "--braid", "s2 s1^1000000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: the word has more than 1000000 letters (at position 3)\n"
+    )
+    result = run_cli("sweep", "--braid", "s1^1000000000000")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: the word has more than 1000000 letters (at position 0)\n"

@@ -208,6 +208,62 @@ def test_rho_word_equals_letter_by_letter_product(letters, theta):
     assert np.array_equal(rho_word(BraidWord(3, tuple(letters)), params), expected)
 
 
+def _seeded_word(seed, length):
+    rng = np.random.default_rng(seed)
+    text = " ".join(rng.choice(["s1", "s2", "s1^-1", "s2^-1"], size=length))
+    return parse_braid(text, 3)
+
+
+TWELVE_ANGLES = [
+    math.radians(d)
+    for d in (0.0, 7.5, 30.0, 60.0, 75.0, 120.0, 150.0, 172.5, 210.0, 240.0, 300.0, 345.0)
+]
+
+
+@pytest.mark.parametrize("length", [1000, 3000])
+def test_long_rho_word_is_bit_equal_to_the_plain_product(length):
+    word = _seeded_word(length, length)
+    for theta in TWELVE_ANGLES:
+        params = ReprParams(theta)
+        expected = np.eye(2, dtype=complex)
+        for g in word.letters:
+            expected = expected @ rho_generator(g, params)
+        assert np.array_equal(rho_word(word, params), expected)
+
+
+def test_rho_word_hashes_no_letter(monkeypatch):
+    word = _seeded_word(1, 1000)
+    calls = []
+    original = BraidGenerator.__hash__
+
+    def counting_hash(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(BraidGenerator, "__hash__", counting_hash)
+    assert hash(word.letters[0]) == original(word.letters[0]) and len(calls) == 1
+    calls.clear()
+    for d in range(0, 31, 5):
+        rho_word(word, ReprParams(math.radians(d)))
+    assert len(calls) < len(word)
+
+
+@pytest.mark.parametrize("degrees", ENDPOINTS_DEG)
+def test_degree_endpoints_admit_a_symmetric_slop(degrees):
+    for theta in (math.radians(degrees) - 1e-12, math.radians(degrees) + 1e-12):
+        assert is_admissible(theta)
+        ReprParams(theta)
+
+
+@pytest.mark.parametrize("gap", GAPS)
+def test_points_just_inside_a_gap_stay_refused(gap):
+    lo, hi = gap
+    for theta in (lo + 1e-9, hi - 1e-9):
+        assert not is_admissible(theta)
+        with pytest.raises(ValueError, match="admissible"):
+            ReprParams(theta)
+
+
 def test_braid_relation():
     rng = np.random.default_rng(7)
     lhs_word = parse_braid("s1 s2 s1", 3)
