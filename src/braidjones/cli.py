@@ -5,7 +5,8 @@ interface, radians internally) and writes a CSV with 12-significant-digit
 floats, one row per gridpoint.  Output bytes are fully determined by the
 braid, grid, epsilon and seed.  The command exits 1 when any row violates
 the oracle tolerance or the measurement error bound or holds a non-finite
-value, and 2 on bad input, so it can serve as a CI acceptance gate.
+value, and 2 on bad input or when the output cannot be written, so it can
+serve as a CI acceptance gate.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -97,8 +99,8 @@ def run_sweep(
     Gridpoints are evaluated serially in input order; the point at index k
     perturbs its trace estimate with seed prec.seed + k.  Every angle must
     be admissible, the word must have three strands and, with the oracle,
-    fit the state sum's size limits.  A check that fails at a gridpoint
-    raises ValueError naming the angle.
+    fit the state sum's size limits, and the error bound must be finite.
+    A check that fails at a gridpoint raises ValueError naming the angle.
     """
     if b.strands != 3:
         raise ValueError(f"sweeps need a 3-strand word, got {b.strands} strands")
@@ -113,6 +115,10 @@ def run_sweep(
             raise ValueError(f"theta = {deg} deg is outside the admissible angle set")
     # rho(b) is 2x2 on three strands; the bound does not depend on the seed
     bound = trace_error_bound(2, prec)
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"--epsilon {prec.epsilon!r} at --alpha1 {prec.alpha1!r} gives a non-finite eq9_bound"
+        )
     records = []
     for idx, deg in enumerate(thetas):
         theta = math.radians(deg)
@@ -161,9 +167,16 @@ def emit_csv(records: list[SweepRecord], destination) -> None:
         destination.write(",".join(map(_cells, vars(r).values())) + "\n")
 
 
-def _check_records(records: list[SweepRecord], epsilon: float, oracle_tol: float) -> list[str]:
-    """One message per violated gate; the gates are written so NaN fails them."""
+def _check_records(
+    records: list[SweepRecord], epsilon: float, oracle_tol: float
+) -> tuple[list[str], tuple[float, float] | None]:
+    """Violated gates, one message each, and the worst |bracket - oracle| with its angle.
+
+    NaN fails every gate and counts as the largest gap, a tie goes to the
+    first angle, and without an oracle the worst is None.
+    """
     problems = []
+    gaps = []
     for r in records:
         bad = [k for k, v in vars(r).items() if v is not None and not cmath.isfinite(v)]
         if bad:
@@ -174,21 +187,15 @@ def _check_records(records: list[SweepRecord], epsilon: float, oracle_tol: float
                 problems.append(
                     f"theta={r.theta_deg} deg: |bracket - oracle| = {gap:.3e} > {oracle_tol:.3e}"
                 )
+            gaps.append((gap, r.theta_deg))
         drift = abs(r.trace_exact - r.trace_nmr)
         limit = r.eq9_bound if epsilon > 0.0 else _EXACT_TRACE_TOL
         if not drift <= limit:
             problems.append(
                 f"theta={r.theta_deg} deg: |trace - trace_nmr| = {drift:.3e} > {limit:.3e}"
             )
-    return problems
-
-
-def _worst_oracle_gap(records: list[SweepRecord]) -> str:
-    """The largest |bracket - oracle| and its angle; NaN counts as largest."""
-    gaps = [(abs(r.bracket - r.bracket_oracle), r.theta_deg)
-            for r in records if r.bracket_oracle is not None]
-    gap, deg = max(gaps, key=lambda g: math.inf if math.isnan(g[0]) else g[0])
-    return f"worst |bracket - oracle| = {gap:.1e} at theta={deg:.12g} deg"
+    worst = max(gaps, key=lambda g: math.inf if math.isnan(g[0]) else g[0], default=None)
+    return problems, worst
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +243,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"--{flag.replace('_', '-')} must be finite")
     if args.oracle_tol <= 0.0:
         raise ValueError("--oracle-tol must be positive")
-    prec = MeasurementPrecision(epsilon=args.epsilon, alpha1=args.alpha1, seed=args.seed)
+    try:
+        prec = MeasurementPrecision(epsilon=args.epsilon, alpha1=args.alpha1, seed=args.seed)
+    except ValueError as exc:
+        # each message starts with the refused field, which is also the flag's name
+        raise ValueError(f"--{exc}") from None
     if args.theta_step_deg <= 0.0:
         raise ValueError("theta step must be positive")
     span = args.theta_max_deg - args.theta_min_deg
@@ -255,12 +266,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with destination as out:
         records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
         emit_csv(records, out)
-    problems = _check_records(records, args.epsilon, args.oracle_tol)
+        out.flush()
+    problems, worst = _check_records(records, args.epsilon, args.oracle_tol)
     for p in problems:
         print(f"FAIL {p}", file=sys.stderr)
     summary = f"{len(records)} gridpoints, {len(problems)} violations"
-    if args.oracle:
-        summary += ", " + _worst_oracle_gap(records)
+    if worst is not None:
+        gap, deg = worst
+        summary += f", worst |bracket - oracle| = {gap:.1e} at theta={deg:.12g} deg"
     print(summary, file=sys.stderr)
     return 1 if problems else 0
 
@@ -288,9 +301,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"sweep": _cmd_sweep, "angles": _cmd_angles, "compile": _cmd_compile}
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # only output raises OSError here: an --out path that cannot be opened is a ValueError
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout on exit; let the unwritten bytes go to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -61,7 +61,10 @@ _UNITARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MeasurementPrecision:
-    """Measurement precision epsilon, probe polarization alpha1 and noise seed."""
+    """Measurement precision epsilon, probe polarization alpha1 and noise seed.
+
+    Each check's message starts with the name of the field it refuses.
+    """
 
     epsilon: float = 0.0
     alpha1: float = 1.0
@@ -70,8 +73,15 @@ class MeasurementPrecision:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
+        if not math.isfinite(2.0 * self.epsilon * PROBE_LAMBDA):
+            raise ValueError(
+                "epsilon must keep the noise band 2*epsilon*PROBE_LAMBDA finite, "
+                f"got {self.epsilon!r}"
+            )
         if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
             raise ValueError(f"alpha1 must be finite and positive, got {self.alpha1!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

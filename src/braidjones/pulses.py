@@ -8,7 +8,8 @@ Instruction propagators (two spin-1/2 nuclei, 4x4 matrices):
     phase angle phi:                     exp(i*phi) * identity
 
 Instructions are listed in time order; the program propagator multiplies
-right to left (the last instruction is the leftmost matrix factor).
+right to left (the last instruction is the leftmost matrix factor).  The
+``_TOKENS`` table is the one statement of the text format's instructions.
 
 The compiler targets cU = identity (+) s_j with s_j = rho(sigma_j).  It
 ZYZ-factors s_j = exp(i*d0) * Rz(a) * Ry(b) * Rz(c) and assembles the
@@ -54,8 +55,9 @@ __all__ = [
     "parse_program",
 ]
 
-_KINDS = ("rotation", "coupling", "phase")
-_AXES = ("y", "z")
+# instruction kind -> text token, and rotation axis -> Pauli matrix
+_TOKENS = {"rotation": "ROT", "coupling": "COUPLE", "phase": "PHASE"}
+_PAULI = {"y": SIGMA_Y, "z": SIGMA_Z}
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,12 @@ class PulseInstruction:
     angle: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _TOKENS:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
         if self.kind == "rotation":
             if self.spin not in (1, 2):
                 raise ValueError(f"rotation spin must be 1 or 2, got {self.spin}")
-            if self.axis not in _AXES:
+            if self.axis not in _PAULI:
                 raise ValueError(f"rotation axis must be y or z, got {self.axis!r}")
         elif self.spin is not None or self.axis is not None:
             raise ValueError(f"{self.kind} instructions take only an angle")
@@ -100,15 +102,21 @@ def phase(angle: float) -> PulseInstruction:
 
 @dataclass(frozen=True)
 class PulseProgram:
-    """Time-ordered instruction list plus a human-readable target label."""
+    """Time-ordered instruction list."""
 
     instructions: tuple[PulseInstruction, ...]
-    target: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instructions", tuple(self.instructions))
         if not self.instructions:
             raise ValueError("a pulse program cannot be empty")
+
+
+def _check_gate_domain(which: int, theta: float) -> None:
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which}")
+    if not -1e-12 <= theta <= math.pi / 6 + 1e-12:
+        raise ValueError(f"theta must lie in [0, pi/6], got {theta!r}")
 
 
 def pulse_angles(theta: float, which: int) -> tuple[float, float, float]:
@@ -118,10 +126,7 @@ def pulse_angles(theta: float, which: int) -> tuple[float, float, float]:
     theta = pi/6 the gamma formula's denominator vanishes with a negative
     numerator, and the one-sided limit gamma = 0 is returned.
     """
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    if not -1e-12 <= theta <= math.pi / 6 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/6], got {theta!r}")
+    _check_gate_domain(which, theta)
     alpha = 0.5 * math.pi - 2.0 * theta
     beta = 0.5 * math.pi + theta
     if which == 1:
@@ -142,10 +147,7 @@ def compile_controlled_s(which: int, theta: float, inverse: bool = False) -> Pul
     conjugate transpose.  The construction is exact, so verifying against
     the block target returns fidelity 1 up to floating-point rounding.
     """
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    if not -1e-12 <= theta <= math.pi / 6 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/6], got {theta!r}")
+    _check_gate_domain(which, theta)
     params = ReprParams.from_theta(theta)
     s = rho_generator(BraidGenerator(which, -1 if inverse else 1), params)
     d0 = 0.5 * cmath.phase(complex(np.linalg.det(s)))
@@ -168,15 +170,13 @@ def compile_controlled_s(which: int, theta: float, inverse: bool = False) -> Pul
         rot(1, "z", d0),
         phase(0.5 * d0),
     )
-    label = f"controlled-s{which}" + ("^-1" if inverse else "") + f" theta={theta!r}"
-    return PulseProgram(instructions, target=label)
+    return PulseProgram(instructions)
 
 
 def _instruction_propagator(instr: PulseInstruction) -> np.ndarray:
     if instr.kind == "rotation":
         half = 0.5 * instr.angle
-        sigma = SIGMA_Y if instr.axis == "y" else SIGMA_Z
-        r = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma
+        r = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * _PAULI[instr.axis]
         return np.kron(r, np.eye(2)) if instr.spin == 1 else np.kron(np.eye(2), r)
     if instr.kind == "coupling":
         half = 0.5 * instr.angle
@@ -202,36 +202,30 @@ def verify_program(p: PulseProgram, target: np.ndarray) -> float:
 
 
 def format_program(p: PulseProgram) -> str:
-    """One instruction per line; floats use repr so parsing is lossless."""
+    """One ``_TOKENS`` line per instruction; floats use repr so parsing is lossless."""
     lines = []
     for ins in p.instructions:
-        if ins.kind == "rotation":
-            lines.append(f"ROT spin={ins.spin} axis={ins.axis} angle={ins.angle!r}")
-        elif ins.kind == "coupling":
-            lines.append(f"COUPLE angle={ins.angle!r}")
-        else:
-            lines.append(f"PHASE angle={ins.angle!r}")
+        operands = f"spin={ins.spin} axis={ins.axis} " if ins.kind == "rotation" else ""
+        lines.append(f"{_TOKENS[ins.kind]} {operands}angle={ins.angle!r}")
     return "\n".join(lines)
 
 
-def parse_program(text: str, target: str = "") -> PulseProgram:
-    """Inverse of format_program; blank lines are skipped."""
+def parse_program(text: str) -> PulseProgram:
+    """Inverse of format_program; blank lines are skipped, the rest checked as instructions."""
+    kinds = {token: kind for kind, token in _TOKENS.items()}
     instructions: list[PulseInstruction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = line.split()
+        token, *fields = line.split()
         try:
-            kw = dict(f.split("=", 1) for f in fields[1:])
-            if fields[0] == "ROT":
-                instructions.append(rot(int(kw["spin"]), kw["axis"], float(kw["angle"])))
-            elif fields[0] == "COUPLE":
-                instructions.append(couple(float(kw["angle"])))
-            elif fields[0] == "PHASE":
-                instructions.append(phase(float(kw["angle"])))
-            else:
-                raise ValueError(f"unknown instruction {fields[0]!r}")
+            if token not in kinds:
+                raise ValueError(f"unknown instruction {token!r}")
+            kw = dict(f.split("=", 1) for f in fields)
+            spin = int(kw["spin"]) if "spin" in kw else None
+            ins = PulseInstruction(kinds[token], spin, kw.get("axis"), float(kw["angle"]))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {line!r}: {exc}") from None
-    return PulseProgram(tuple(instructions), target=target)
+        instructions.append(ins)
+    return PulseProgram(tuple(instructions))

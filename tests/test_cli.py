@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import math
@@ -30,14 +31,19 @@ from braidjones.nmr import MeasurementPrecision
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args):
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*args, stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, "-m", "braidjones", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_cli_env(),
     )
 
 
@@ -356,9 +362,10 @@ def test_cli_sweep_summary_reports_worst_oracle_gap(capsys):
 @pytest.mark.parametrize("name", ["trace_nmr", "eq9_bound", "bracket_oracle", "jones"])
 def test_check_records_flags_non_finite_fields(name):
     (record,) = run_sweep(preset("trefoil"), [5.0], with_oracle=True)
-    assert _check_records([record], 1e-3, 1e-9) == []
+    problems, _ = _check_records([record], 1e-3, 1e-9)
+    assert problems == []
     bad = dataclasses.replace(record, **{name: math.nan})
-    problems = _check_records([bad], 1e-3, 1e-9)
+    problems, _ = _check_records([bad], 1e-3, 1e-9)
     assert problems and any(name in p for p in problems)
 
 
@@ -379,6 +386,23 @@ def test_cli_stdout_matches_golden_bytes(args):
     assert result.returncode == 0, result.stderr
     digest = hashlib.sha256(result.stdout.encode("ascii")).hexdigest()
     assert digest == GOLDEN_STDOUT_SHA256[args]
+
+
+# sha256 of stderr, recorded before the gate and its summary shared one pass
+GOLDEN_STDERR_SHA256 = {
+    ("sweep", "--preset", "borromean", "--oracle", "--oracle-tol", "1e-30"):
+        (1, "c0600ff783e0c389cfc36a4b40957e3f4432d9e0b83fc5a69c33b8f37b6e6986"),
+    ("sweep", "--preset", "figure8", "--oracle", "--theta-max-deg", "3"):
+        (0, "92c3b1991087d4d9d23ed4a977b2fe9467336e2fe67dc01b1b5791d98e7f5ac4"),
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_STDERR_SHA256))
+def test_cli_stderr_matches_golden_bytes(args):
+    status, expected = GOLDEN_STDERR_SHA256[args]
+    result = run_cli(*args)
+    assert result.returncode == status, result.stderr
+    assert hashlib.sha256(result.stderr.encode("ascii")).hexdigest() == expected
 
 
 def _long_word(seed, length):
@@ -410,3 +434,106 @@ def test_cli_sweep_refuses_a_word_over_the_letter_cap(capsys):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: the word has more than 1000000 letters (at position 0)\n"
+
+
+def _record(deg, bracket, oracle):
+    (record,) = run_sweep(preset("trefoil"), [deg], with_oracle=True)
+    return dataclasses.replace(record, bracket=bracket, bracket_oracle=oracle)
+
+
+def test_check_records_reports_the_first_nan_gap_then_the_first_tied_angle():
+    nan = complex(math.nan, 0.0)
+    records = [_record(1.0, 0.5, 0.25), _record(2.0, nan, 0.0), _record(3.0, nan, 0.0)]
+    problems, worst = _check_records(records, 0.0, 1e-9)
+    gap, deg = worst
+    assert math.isnan(gap) and deg == 2.0
+    # the 0.25 gap, then a non-finite bracket and a NaN gap at 2 and at 3 degrees
+    assert len(problems) == 5
+    tied = [_record(1.0, 0.0, 0.0), _record(2.0, 1.0, 0.5), _record(3.0, 0.5, 0.0)]
+    assert _check_records(tied, 0.0, 1.0)[1] == (0.5, 2.0)
+    assert _check_records(run_sweep(preset("trefoil"), [0.0]), 0.0, 1e-9) == ([], None)
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--epsilon", "1e308", "--theta-max-deg", "0"), "--epsilon"),
+        (("--epsilon", "1e308", "--alpha1", "1e300"), "--epsilon"),
+        (("--epsilon", "5e307"), "--epsilon"),
+        (("--seed", "-1", "--epsilon", "1e-3"), "--seed"),
+        (("--seed", "-1", "--epsilon", "0"), "--seed"),
+    ],
+)
+def test_cli_sweep_refuses_bad_precision_input(flags, named, capsys):
+    assert main(["sweep", "--preset", "trefoil", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named} ") and captured.err.count("\n") == 1
+    assert "theta" not in captured.err
+
+
+def test_run_sweep_refuses_an_infinite_error_bound_before_any_gridpoint(monkeypatch):
+    def no_gridpoint(*args):
+        raise AssertionError("a gridpoint was evaluated")
+
+    monkeypatch.setattr(braidjones.cli, "evaluate", no_gridpoint)
+    prec = MeasurementPrecision(epsilon=5e307)
+    with pytest.raises(ValueError, match="--epsilon 5e\\+307 .* non-finite eq9_bound"):
+        run_sweep(preset("trefoil"), [0.0], prec)
+
+
+class _FailingStream(io.StringIO):
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EPIPE])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--preset", "trefoil"],
+        ["compile", "--theta-deg", "15", "--which", "2"],
+    ],
+)
+def test_cli_failed_output_write_is_bad_input(code, argv, capsys, monkeypatch):
+    exc = (BrokenPipeError if code == errno.EPIPE else OSError)(code, os.strerror(code))
+    monkeypatch.setattr(sys, "stdout", _FailingStream(exc))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(code)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "args, to_out",
+    [
+        (("sweep", "--preset", "trefoil"), False),
+        (("sweep", "--preset", "trefoil"), True),
+        (("compile", "--theta-deg", "15", "--which", "2", "--inverse"), False),
+    ],
+)
+def test_cli_output_to_a_full_device_is_bad_input(args, to_out):
+    with open("/dev/full", "w") as full:
+        result = run_cli(*args, "--out", "/dev/full") if to_out else run_cli(*args, stdout=full)
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_cli_sweep_into_a_closed_pipe_is_bad_input():
+    # about 400 kB of CSV: more than the pipe holds, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidjones", "sweep", "--preset", "trefoil",
+         "--theta-step-deg", "0.02"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_env(),
+    )
+    assert proc.stdout.readline().decode("ascii") == CSV_COLUMNS + "\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode("ascii")
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"

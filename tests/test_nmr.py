@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -162,6 +163,28 @@ def test_precision_validation():
         MeasurementPrecision(epsilon=-1.0)
     with pytest.raises(ValueError):
         MeasurementPrecision(alpha1=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"epsilon": 1e308}, "epsilon"),
+        ({"epsilon": 1e308, "alpha1": 1e300}, "epsilon"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "7"}, "seed"),
+    ],
+)
+def test_precision_refuses_an_unusable_noise_band_or_seed(kwargs, field):
+    with pytest.raises(ValueError) as exc:
+        MeasurementPrecision(**kwargs)
+    assert str(exc.value).startswith(f"{field} must ")
+
+
+def test_precision_accepts_the_widest_finite_noise_band():
+    prec = MeasurementPrecision(epsilon=5e307, seed=2**40)
+    rho2 = apply_cu(prepare_rho1(2, 1.0), np.eye(2, dtype=complex))
+    assert cmath.isfinite(measure_probe(rho2, prec))
 
 
 def test_product_operator_caches_valid_arguments_only():

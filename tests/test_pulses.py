@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -165,3 +166,37 @@ def test_parse_program_errors():
         parse_program("WOBBLE angle=1.0")
     with pytest.raises(ValueError, match="line 2"):
         parse_program("PHASE angle=0.5\nROT spin=2 angle=1.0")
+
+
+# sha256 over the printed programs on the compile command's 25-angle grid,
+# both gates, with and without inverse; the format is a byte contract
+COMPILE_GRID_SHA256 = "cf24970e73b1a33f338ac3799dd34ac4da9dee71e7c06e9087208a6469ec5d46"
+
+
+def test_format_program_matches_golden_bytes():
+    digest = hashlib.sha256()
+    for k in range(25):
+        for which in (1, 2):
+            for inverse in (False, True):
+                program = compile_controlled_s(which, math.radians(k * 1.25), inverse)
+                digest.update((format_program(program) + "\n").encode("ascii"))
+    assert digest.hexdigest() == COMPILE_GRID_SHA256
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "WOBBLE angle=1.0",
+        "ROT axis=y angle=1.0",
+        "ROT spin=2 angle=1.0",
+        "ROT spin=2 axis=y",
+        "COUPLE",
+        "PHASE angle",
+        "ROT spin=two axis=y angle=1.0",
+        "COUPLE spin=2 angle=1",
+    ],
+)
+def test_parse_program_refuses_malformed_lines(line):
+    with pytest.raises(ValueError) as exc:
+        parse_program(f"PHASE angle=0.5\n\n{line}")
+    assert str(exc.value).startswith(f"line 3: cannot parse {line!r}: ")
