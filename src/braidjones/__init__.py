@@ -35,7 +35,6 @@ from .nmr import (
     estimate_trace,
     measure_probe,
     prepare_rho1,
-    thermal_state,
     trace_error_bound,
 )
 from .pathmodel import (

@@ -54,6 +54,9 @@ _DEFAULT_ORACLE_TOL = 1e-9
 
 # largest theta grid a sweep accepts; the grid list is built in memory
 MAX_GRID_POINTS = 10**6
+# largest gridpoints * 2^letters an --oracle sweep accepts: the state sum adds
+# 2^letters terms per gridpoint, so this bounds the oracle's total cost
+MAX_ORACLE_TERMS = 2**25
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,32 @@ def run_sweep(
     Gridpoints are evaluated serially in input order; the point at index k
     perturbs its trace estimate with seed prec.seed + k.  Every angle must
     be admissible, the word must have three strands and, with the oracle,
-    fit the state sum's size limits, and the error bound must be finite.
+    fit the state sum's size limits and MAX_ORACLE_TERMS; the calibration
+    constant must not vanish and the error bound must be finite.
     A check that fails at a gridpoint raises ValueError naming the angle.
     """
     if b.strands != 3:
         raise ValueError(f"sweeps need a 3-strand word, got {b.strands} strands")
+    thetas = [float(x) for x in thetas_deg]
     if with_oracle:
         try:
             check_state_sum_size(b)
         except ValueError as exc:
             raise ValueError(f"--oracle: {exc}") from None
-    thetas = [float(x) for x in thetas_deg]
+        if len(thetas) * 2 ** len(b.letters) > MAX_ORACLE_TERMS:
+            raise ValueError(
+                f"--oracle: {len(thetas)} gridpoints of 2^{len(b.letters)} state-sum terms "
+                f"exceed MAX_ORACLE_TERMS = {MAX_ORACLE_TERMS}"
+            )
     for deg in thetas:
         if not is_admissible(math.radians(deg)):
             raise ValueError(f"theta = {deg} deg is outside the admissible angle set")
     # rho(b) is 2x2 on three strands; the bound does not depend on the seed
-    bound = trace_error_bound(2, prec)
+    try:
+        bound = trace_error_bound(2, prec)
+    except ValueError as exc:
+        # the calibration's message starts with the refused field, --alpha1's name
+        raise ValueError(f"--{exc}") from None
     if not math.isfinite(bound):
         raise ValueError(
             f"--epsilon {prec.epsilon!r} at --alpha1 {prec.alpha1!r} gives a non-finite eq9_bound"

@@ -19,8 +19,9 @@ and checks its own cU and rho_2.  Noise is a seeded uniform perturbation in
 because the precision contract is a hard bound), so the rescaled estimate
 always satisfies |estimate - trace(U)| <= sqrt(2)*epsilon*Lambda/|c|.
 
-First-order thermal states are used verbatim; positivity is not enforced
-for large polarizations.
+rho_1 is the first-order (high-temperature) deviation form used verbatim:
+its eigenvalues are (1 -+ alpha_1/2)/N, so it is positive only for
+alpha_1 <= 2, and positivity is not enforced.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "MeasurementPrecision",
     "DensityOperator",
     "product_operator",
-    "thermal_state",
     "prepare_rho1",
     "controlled_u",
     "apply_cu",
@@ -122,17 +122,6 @@ def product_operator(m: int, slot: int, axis: str) -> np.ndarray:
     return op
 
 
-def thermal_state(alphas: list[float], m: int) -> DensityOperator:
-    """First-order thermal state (1/N) * (1 - sum_l alpha_l * I_lz)."""
-    if len(alphas) != m:
-        raise ValueError(f"need {m} polarizations, got {len(alphas)}")
-    dim = 2**m
-    mat = np.eye(dim, dtype=complex)
-    for l, alpha in enumerate(alphas, start=1):
-        mat = mat - alpha * product_operator(m, l, "z")
-    return DensityOperator(m, mat / dim)
-
-
 def prepare_rho1(m: int, alpha1: float) -> DensityOperator:
     """Initial state (1/N) * (1 - alpha1 * I_1x): probe coherence on qubit 1.
 
@@ -148,7 +137,7 @@ def prepare_rho1(m: int, alpha1: float) -> DensityOperator:
 
 
 def controlled_u(U: np.ndarray) -> np.ndarray:
-    """Block unitary identity (+) U: acts as U only when the probe is |1>."""
+    """Block unitary identity (+) U: acts as U only when the probe is |1>; checks U."""
     u = np.asarray(U, dtype=complex)
     dim = u.shape[0]
     if u.ndim != 2 or u.shape != (dim, dim):
@@ -162,14 +151,14 @@ def controlled_u(U: np.ndarray) -> np.ndarray:
 
 
 def apply_cu(rho1: DensityOperator, U: np.ndarray) -> DensityOperator:
-    """rho_2 = cU * rho_1 * cU^dagger with cU = controlled_u(U)."""
-    u = np.asarray(U, dtype=complex)
-    if 2 * u.shape[0] != rho1.matrix.shape[0]:
+    """rho_2 = cU * rho_1 * cU^dagger with cU = controlled_u(U), which checks U."""
+    cu = controlled_u(U)
+    if cu.shape != rho1.matrix.shape:
+        dim = cu.shape[0] // 2
         raise ValueError(
-            f"dimension mismatch: U is {u.shape[0]}x{u.shape[0]}, "
+            f"dimension mismatch: U is {dim}x{dim}, "
             f"state is {rho1.matrix.shape[0]}x{rho1.matrix.shape[0]}"
         )
-    cu = controlled_u(u)
     return DensityOperator(rho1.qubits, cu @ rho1.matrix @ cu.conj().T)
 
 
@@ -209,19 +198,22 @@ def _probe(work_qubits: int, alpha1: float) -> tuple[DensityOperator, complex]:
     z0 = measure_probe(rho2, MeasurementPrecision(epsilon=0.0, alpha1=alpha1))
     c = z0 / 2**work_qubits
     if abs(c) < 1e-300:
-        raise ValueError("calibration produced a vanishing constant")
+        raise ValueError(f"alpha1 {alpha1!r} gives a vanishing calibration constant")
     return rho1, c
+
+
+def _work_qubits(dim: int) -> int:
+    """n with dim = 2^n: the work register that holds a dim x dim unitary."""
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise ValueError(f"need a power-of-two dimension, got {dim}")
+    return n
 
 
 def estimate_trace(U: np.ndarray, prec: MeasurementPrecision = MeasurementPrecision()) -> complex:
     """End-to-end trace estimate of a unitary U (checked by controlled_u); exact at epsilon 0."""
-    u = np.asarray(U, dtype=complex)
-    dim = u.shape[0]
-    n = dim.bit_length() - 1
-    if u.ndim != 2 or u.shape != (dim, dim) or 2**n != dim:
-        raise ValueError("U must be square with power-of-two dimension")
-    rho1, c = _probe(n, prec.alpha1)
-    return measure_probe(apply_cu(rho1, u), prec) / c
+    rho1, c = _probe(_work_qubits(len(U)), prec.alpha1)
+    return measure_probe(apply_cu(rho1, U), prec) / c
 
 
 def trace_error_bound(dim: int, prec: MeasurementPrecision) -> float:
@@ -233,8 +225,5 @@ def trace_error_bound(dim: int, prec: MeasurementPrecision) -> float:
     violations are expected: the precision contract is a hard bound, not a
     distribution.
     """
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError("dimension must be a power of two")
-    _, c = _probe(n, prec.alpha1)
+    _, c = _probe(_work_qubits(dim), prec.alpha1)
     return math.sqrt(2.0) * prec.epsilon * PROBE_LAMBDA / abs(c)

@@ -58,6 +58,7 @@ __all__ = [
 # instruction kind -> text token, and rotation axis -> Pauli matrix
 _TOKENS = {"rotation": "ROT", "coupling": "COUPLE", "phase": "PHASE"}
 _PAULI = {"y": SIGMA_Y, "z": SIGMA_Z}
+_OPERANDS = ("spin", "axis", "angle")
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,10 @@ def format_program(p: PulseProgram) -> str:
 
 
 def parse_program(text: str) -> PulseProgram:
-    """Inverse of format_program; blank lines are skipped, the rest checked as instructions."""
+    """Inverse of format_program; blank lines are skipped, the rest checked as instructions.
+
+    Each operand is one of spin, axis and angle, written as key=value at most once.
+    """
     kinds = {token: kind for kind, token in _TOKENS.items()}
     instructions: list[PulseInstruction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -222,7 +226,16 @@ def parse_program(text: str) -> PulseProgram:
         try:
             if token not in kinds:
                 raise ValueError(f"unknown instruction {token!r}")
-            kw = dict(f.split("=", 1) for f in fields)
+            kw: dict[str, str] = {}
+            for field in fields:
+                key, eq, value = field.partition("=")
+                if not eq:
+                    raise ValueError(f"operand {field!r} has no '='")
+                if key not in _OPERANDS:
+                    raise ValueError(f"unknown operand {key!r}")
+                if key in kw:
+                    raise ValueError(f"repeated operand {key!r}")
+                kw[key] = value
             spin = int(kw["spin"]) if "spin" in kw else None
             ins = PulseInstruction(kinds[token], spin, kw.get("axis"), float(kw["angle"]))
         except (KeyError, ValueError) as exc:

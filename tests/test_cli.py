@@ -345,6 +345,46 @@ def test_run_sweep_checks_oracle_limits_before_any_gridpoint(monkeypatch, capsys
     assert "--oracle" in capsys.readouterr().err
 
 
+def test_run_sweep_bounds_the_oracle_cost_before_any_gridpoint(monkeypatch, capsys):
+    def no_gridpoint(*args):
+        raise AssertionError("a gridpoint was evaluated")
+
+    monkeypatch.setattr(braidjones.cli, "evaluate", no_gridpoint)
+    word = parse_braid("s1 s2^-1 " * 10, 3)
+    # 33 * 2^20 state-sum terms exceed 2^25; 32 * 2^20 reach the first gridpoint
+    with pytest.raises(ValueError, match="--oracle: 33 gridpoints of 2\\^20 .* 33554432"):
+        run_sweep(word, [0.5 * k for k in range(33)], with_oracle=True)
+    with pytest.raises(AssertionError, match="a gridpoint was evaluated"):
+        run_sweep(word, [0.5 * k for k in range(32)], with_oracle=True)
+    argv = ["sweep", "--braid", "s1 s2^-1 " * 10, "--oracle", "--theta-max-deg", "16",
+            "--theta-step-deg", "0.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --oracle: 33 gridpoints") and err.count("\n") == 1
+
+
+def test_run_sweep_names_alpha1_when_the_calibration_vanishes(monkeypatch):
+    def no_gridpoint(*args):
+        raise AssertionError("a gridpoint was evaluated")
+
+    monkeypatch.setattr(braidjones.cli, "evaluate", no_gridpoint)
+    for epsilon in (0.0, 1e-3):
+        prec = MeasurementPrecision(epsilon=epsilon, alpha1=1e-300)
+        with pytest.raises(ValueError) as exc:
+            run_sweep(preset("trefoil"), [0.0], prec)
+        assert str(exc.value) == "--alpha1 1e-300 gives a vanishing calibration constant"
+
+
+@pytest.mark.parametrize("epsilon", ["0", "1e-3"])
+def test_cli_sweep_names_alpha1_when_the_calibration_vanishes(epsilon, capsys):
+    argv = ["sweep", "--preset", "trefoil", "--alpha1", "1e-300", "--epsilon", epsilon,
+            "--theta-max-deg", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --alpha1 1e-300 gives a vanishing calibration constant\n"
+
+
 def test_cli_sweep_summary_reports_worst_oracle_gap(capsys):
     assert main(["sweep", "--preset", "borromean", "--oracle", "--theta-max-deg", "3"]) == 0
     captured = capsys.readouterr()

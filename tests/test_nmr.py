@@ -18,7 +18,6 @@ from braidjones.nmr import (
     measure_probe,
     prepare_rho1,
     product_operator,
-    thermal_state,
     trace_error_bound,
 )
 from braidjones.tlrep import ADMISSIBLE_INTERVALS, ReprParams, rho_word
@@ -28,23 +27,6 @@ def _random_unitary(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_thermal_state_single_qubit():
-    assert np.allclose(thermal_state([0.0], 1).matrix, np.eye(2) / 2, atol=1e-12)
-    rho = thermal_state([0.8], 1)
-    assert np.allclose(rho.matrix, np.diag([0.3, 0.7]), atol=1e-12)
-
-
-def test_thermal_state_two_qubits():
-    rho = thermal_state([0.5, 0.25], 2)
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
-    assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
-
-
-def test_thermal_state_argument_check():
-    with pytest.raises(ValueError, match="polarizations"):
-        thermal_state([0.1], 2)
 
 
 def test_prepare_rho1_blocks():
@@ -138,6 +120,37 @@ def test_estimate_trace_rejects_bad_input():
         estimate_trace(np.eye(3))
     with pytest.raises(ValueError, match="unitary"):
         estimate_trace(2.0 * np.eye(2))
+
+
+def test_apply_cu_refuses_a_non_unitary_u_before_its_size():
+    # 4x4 neither matches the 2-qubit state nor is unitary; controlled_u checks U first
+    with pytest.raises(ValueError, match="not unitary"):
+        apply_cu(prepare_rho1(2, 1.0), 2 * np.eye(4))
+
+
+def test_trace_error_bound_rejects_a_non_power_of_two_dimension():
+    with pytest.raises(ValueError, match="power-of-two"):
+        trace_error_bound(3, MeasurementPrecision())
+
+
+def test_estimate_trace_rejects_a_non_square_u():
+    with pytest.raises(ValueError, match="square"):
+        estimate_trace(np.ones((2, 3)))
+
+
+def test_estimate_trace_builds_controlled_u_once(monkeypatch):
+    calls = 0
+    original = braidjones.nmr.controlled_u
+
+    def counting(U):
+        nonlocal calls
+        calls += 1
+        return original(U)
+
+    estimate_trace(np.eye(2))  # the calibration run is cached, not counted below
+    monkeypatch.setattr(braidjones.nmr, "controlled_u", counting)
+    estimate_trace(np.diag([1.0, 1.0j]), MeasurementPrecision(epsilon=1e-3))
+    assert calls == 1
 
 
 def test_noise_bound_never_violated():

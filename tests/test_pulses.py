@@ -200,3 +200,17 @@ def test_parse_program_refuses_malformed_lines(line):
     with pytest.raises(ValueError) as exc:
         parse_program(f"PHASE angle=0.5\n\n{line}")
     assert str(exc.value).startswith(f"line 3: cannot parse {line!r}: ")
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("PHASE angle=1 bogus=3 angle=2", "unknown operand 'bogus'"),
+        ("ROT spin=1 axis=y angle=1 angle=2", "repeated operand 'angle'"),
+        ("COUPLE angle=1 spin", "operand 'spin' has no '='"),
+    ],
+)
+def test_parse_program_refuses_operands_it_would_drop(line, reason):
+    with pytest.raises(ValueError) as exc:
+        parse_program(line)
+    assert str(exc.value) == f"line 1: cannot parse {line!r}: {reason}"
