@@ -47,6 +47,9 @@ __all__ = [
 
 MAX_STRANDS = 8
 MAX_LETTERS = 20
+# largest points * 2^letters check_state_sum_size accepts: the state sum adds
+# 2^letters terms per point, so this bounds the oracle's total cost over a grid
+MAX_ORACLE_TERMS = 2**25
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,12 @@ def closure_loop_count(d: TLDiagram) -> int:
     return len({uf.find(q) for q in range(2 * n)}) + d.loops
 
 
-def check_state_sum_size(b: BraidWord) -> None:
-    """Refuse words over the state sum's MAX_STRANDS / MAX_LETTERS limits."""
+def check_state_sum_size(b: BraidWord, points: int = 1) -> None:
+    """Refuse a word over MAX_STRANDS or MAX_LETTERS, or a sum over MAX_ORACLE_TERMS.
+
+    ``points`` is the number of angles the caller sums the word at; each
+    costs 2^letters terms, so a grid is refused before its first point.
+    """
     if b.strands > MAX_STRANDS:
         raise ValueError(
             f"the word has {b.strands} strands; "
@@ -192,6 +199,11 @@ def check_state_sum_size(b: BraidWord) -> None:
         raise ValueError(
             f"the word has {len(b.letters)} letters; "
             f"the state sum is limited to {MAX_LETTERS} letters"
+        )
+    if points * 2 ** len(b.letters) > MAX_ORACLE_TERMS:
+        raise ValueError(
+            f"{points} gridpoints of 2^{len(b.letters)} state-sum terms "
+            f"exceed MAX_ORACLE_TERMS = {MAX_ORACLE_TERMS}"
         )
 
 

@@ -223,7 +223,13 @@ def trace_error_bound(dim: int, prec: MeasurementPrecision) -> float:
     epsilon*PROBE_LAMBDA, and the estimate divides by the calibration
     constant c, so the bound is sqrt(2)*epsilon*PROBE_LAMBDA/|c|.  Zero
     violations are expected: the precision contract is a hard bound, not a
-    distribution.
+    distribution.  A bound that overflows is refused, with a message that
+    starts with the epsilon field.
     """
     _, c = _probe(_work_qubits(dim), prec.alpha1)
-    return math.sqrt(2.0) * prec.epsilon * PROBE_LAMBDA / abs(c)
+    bound = math.sqrt(2.0) * prec.epsilon * PROBE_LAMBDA / abs(c)
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"epsilon {prec.epsilon!r} at alpha1 {prec.alpha1!r} gives a non-finite eq9_bound"
+        )
+    return bound

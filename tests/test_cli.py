@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -402,11 +403,55 @@ def test_cli_sweep_summary_reports_worst_oracle_gap(capsys):
 @pytest.mark.parametrize("name", ["trace_nmr", "eq9_bound", "bracket_oracle", "jones"])
 def test_check_records_flags_non_finite_fields(name):
     (record,) = run_sweep(preset("trefoil"), [5.0], with_oracle=True)
-    problems, _ = _check_records([record], 1e-3, 1e-9)
+    problems, _ = _check_records([record], 1e-9)
     assert problems == []
     bad = dataclasses.replace(record, **{name: math.nan})
-    problems, _ = _check_records([bad], 1e-3, 1e-9)
+    problems, _ = _check_records([bad], 1e-9)
     assert problems and any(name in p for p in problems)
+
+
+def test_run_sweep_keeps_grid_order_and_seeds_row_k_with_seed_plus_k():
+    word = preset("figure8")
+    rows = run_sweep(word, [30.0, 0.0, 15.0], MeasurementPrecision(epsilon=1e-3, seed=3))
+    assert [r.theta_deg for r in rows] == [30.0, 0.0, 15.0]
+    for k, row in enumerate(rows):
+        alone = run_sweep(word, [row.theta_deg], MeasurementPrecision(epsilon=1e-3, seed=3 + k))
+        assert alone == [row]
+
+
+def test_run_sweep_converts_each_angle_once(monkeypatch):
+    calls = []
+
+    def radians(deg):
+        calls.append(deg)
+        return math.radians(deg)
+
+    monkeypatch.setattr(braidjones.cli, "math", types.SimpleNamespace(**{**vars(math), "radians": radians}))
+    run_sweep(preset("trefoil"), [0.0, 5.0, 10.0])
+    assert calls == [0.0, 5.0, 10.0]
+
+
+def test_cli_sweep_gates_an_underflowed_bound_as_exact(capsys):
+    # eq9_bound underflows to 0 at epsilon 5e-324: the rows are held to the exact tolerance
+    argv = ["sweep", "--preset", "borromean", "--epsilon", "5e-324", "--alpha1", "100"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "31 gridpoints, 0 violations\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--theta-step-deg", "0"), "--theta-step-deg must be positive, got 0.0"),
+        (("--theta-min-deg", "10", "--theta-max-deg", "5"),
+         "--theta-max-deg 5.0 is below --theta-min-deg 10.0"),
+        (("--oracle", "--oracle-tol", "0"), "--oracle-tol must be positive"),
+    ],
+)
+def test_cli_sweep_refuses_an_empty_grid_or_tolerance_by_flag(flags, message, capsys):
+    assert main(["sweep", "--preset", "trefoil", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # sha256 of stdout: the output bytes are a contract, so a change here is deliberate
@@ -484,14 +529,14 @@ def _record(deg, bracket, oracle):
 def test_check_records_reports_the_first_nan_gap_then_the_first_tied_angle():
     nan = complex(math.nan, 0.0)
     records = [_record(1.0, 0.5, 0.25), _record(2.0, nan, 0.0), _record(3.0, nan, 0.0)]
-    problems, worst = _check_records(records, 0.0, 1e-9)
+    problems, worst = _check_records(records, 1e-9)
     gap, deg = worst
     assert math.isnan(gap) and deg == 2.0
     # the 0.25 gap, then a non-finite bracket and a NaN gap at 2 and at 3 degrees
     assert len(problems) == 5
     tied = [_record(1.0, 0.0, 0.0), _record(2.0, 1.0, 0.5), _record(3.0, 0.5, 0.0)]
-    assert _check_records(tied, 0.0, 1.0)[1] == (0.5, 2.0)
-    assert _check_records(run_sweep(preset("trefoil"), [0.0]), 0.0, 1e-9) == ([], None)
+    assert _check_records(tied, 1.0)[1] == (0.5, 2.0)
+    assert _check_records(run_sweep(preset("trefoil"), [0.0]), 1e-9) == ([], None)
 
 
 @pytest.mark.parametrize(

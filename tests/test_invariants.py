@@ -11,6 +11,7 @@ from braidjones.braid import BraidGenerator, BraidWord, concat, exponent_sum, in
 from braidjones.invariants import (
     TLDiagram,
     bracket_state_sum,
+    check_state_sum_size,
     closure_loop_count,
     compose_tl,
     cup_cap,
@@ -141,6 +142,18 @@ def test_state_sum_limits():
         bracket_state_sum(BraidWord(9), 1j)
     with pytest.raises(ValueError, match="letters"):
         bracket_state_sum(parse_braid("s1^21", 2), 1j)
+
+
+def test_check_state_sum_size_bounds_the_terms_over_all_points():
+    word = parse_braid("s1 s2^-1 " * 10, 3)
+    # 33 * 2^20 terms exceed MAX_ORACLE_TERMS = 2^25; 32 * 2^20 fit
+    with pytest.raises(ValueError) as exc:
+        check_state_sum_size(word, 33)
+    assert str(exc.value) == (
+        "33 gridpoints of 2^20 state-sum terms exceed MAX_ORACLE_TERMS = 33554432"
+    )
+    check_state_sum_size(word, 32)
+    check_state_sum_size(word)
 
 
 def test_markov_stability():

@@ -171,6 +171,13 @@ def test_trace_error_bound_scaling():
     assert trace_error_bound(2, MeasurementPrecision()) == 0.0
 
 
+def test_trace_error_bound_refuses_a_bound_that_overflows():
+    # the noise band 2*epsilon is finite, but dividing by |c| = 1/8 overflows
+    with pytest.raises(ValueError) as exc:
+        trace_error_bound(2, MeasurementPrecision(epsilon=5e307))
+    assert str(exc.value) == "epsilon 5e+307 at alpha1 1.0 gives a non-finite eq9_bound"
+
+
 def test_precision_validation():
     with pytest.raises(ValueError):
         MeasurementPrecision(epsilon=-1.0)
