@@ -212,7 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="evaluate a braid closure over a theta grid")
     source = sweep.add_mutually_exclusive_group(required=True)
     source.add_argument("--braid", help='3-strand braid word, e.g. "s1 s2^-1 s1 s2^-1"')
-    source.add_argument("--preset", choices=sorted(PRESETS), help="built-in knot")
+    source.add_argument(
+        "--preset",
+        choices=sorted(PRESETS),
+        help="built-in knot or link; trefoil (s1^3) closes to the trefoil plus a "
+        "split unknot, so its jones is delta*(t + t^3 - t^4)",
+    )
     sweep.add_argument("--theta-min-deg", type=float, default=0.0)
     sweep.add_argument("--theta-max-deg", type=float, default=30.0)
     sweep.add_argument("--theta-step-deg", type=float, default=1.0)
@@ -261,6 +266,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not steps < MAX_GRID_POINTS:
         raise ValueError(f"--theta-step-deg gives more than {MAX_GRID_POINTS} grid points")
     grid = [lo + k * step for k in range(int(steps) + 1)]
+    # a refused sweep raises here, before --out is opened, so it leaves the file as it was
+    records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
     destination = nullcontext(sys.stdout)
     if args.out:
         try:
@@ -268,7 +275,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ValueError(f"--out {args.out}: cannot write: {exc.strerror}") from None
     with destination as out:
-        records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
         emit_csv(records, out)
         out.flush()
     problems, worst = _check_records(records, args.oracle_tol)

@@ -19,8 +19,8 @@ mirrored for inverse crossings; each state contributes
 
 so the unknot evaluates to 1.  This is the convention under which the state
 sum reproduces the trace formula above, matching rho(sigma_i) = A*I +
-A^-1*U_i term by term.  Circles are counted with a union-find over planar
-Temperley-Lieb diagrams.
+A^-1*U_i term by term.  Circles are counted from component labels over
+planar Temperley-Lieb diagrams.
 """
 
 from __future__ import annotations
@@ -64,25 +64,17 @@ class InvariantValues:
     unitary: np.ndarray = field(compare=False, repr=False)
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 Matching = tuple[tuple[int, int], ...]
+
+
+def _components(size: int, edges) -> list[int]:
+    """One label per point 0..size-1, shared exactly by points joined through edges."""
+    label = list(range(size))
+    for a, b in edges:
+        old, new = label[b], label[a]
+        if old != new:
+            label = [new if x == old else x for x in label]
+    return label
 
 
 @dataclass(frozen=True)
@@ -114,21 +106,11 @@ class TLDiagram:
 
     def _is_planar(self) -> bool:
         n = self.strands
-        # circular boundary position: top j -> j, bottom j -> 2n-1-j
-        circ = lambda q: q if q < n else 2 * n - 1 - (q - n)
-        partner = {}
-        for a, b in self.matching:
-            pa, pb = circ(a), circ(b)
-            partner[pa], partner[pb] = pb, pa
-        stack: list[int] = []
-        for pos in range(2 * n):
-            if partner[pos] > pos:
-                stack.append(pos)
-            elif not stack or stack[-1] != partner[pos]:
-                return False
-            else:
-                stack.pop()
-        return True
+        # circular boundary position: top j -> j, bottom j -> 2n-1-j; chords
+        # (a, b) and (c, d) cross iff a < c < b < d
+        circ = lambda q: q if q < n else 3 * n - 1 - q
+        chords = [sorted(map(circ, p)) for p in self.matching]
+        return not any(a < c < b < d for a, b in chords for c, d in chords)
 
 
 def identity_diagram(n: int) -> TLDiagram:
@@ -154,34 +136,22 @@ def compose_tl(d1: TLDiagram, d2: TLDiagram) -> TLDiagram:
     if d1.strands != d2.strands:
         raise ValueError(f"strand counts differ: {d1.strands} != {d2.strands}")
     n = d1.strands
-    # point ids: d1 occupies 0..2n-1, d2 occupies 2n..4n-1
-    uf = _UnionFind(4 * n)
-    for a, b in d1.matching:
-        uf.union(a, b)
-    for a, b in d2.matching:
-        uf.union(2 * n + a, 2 * n + b)
-    for j in range(n):
-        uf.union(n + j, 2 * n + j)
-    free = list(range(n)) + [3 * n + j for j in range(n)]
-    by_root: dict[int, list[int]] = {}
-    for q in free:
-        by_root.setdefault(uf.find(q), []).append(q)
-    new_point = lambda q: q if q < n else n + (q - 3 * n)
-    matching = tuple(tuple(new_point(q) for q in pair) for pair in by_root.values())
-    components = len({uf.find(q) for q in range(4 * n)})
-    circles = components - n
-    return TLDiagram(n, matching, d1.loops + d2.loops + circles)
+    # point ids: d1 occupies 0..2n-1, d2 occupies 2n..4n-1, glued bottom to top
+    glued = [*d1.matching, *((n + j, 2 * n + j) for j in range(n))]
+    glued += [(2 * n + a, 2 * n + b) for a, b in d2.matching]
+    label = _components(4 * n, glued)
+    # the free ends, top of d1 and bottom of d2, come in pairs that share a label
+    free = sorted([*range(n), *range(3 * n, 4 * n)], key=label.__getitem__)
+    ends = [q if q < n else q - 2 * n for q in free]
+    circles = len(set(label)) - n
+    return TLDiagram(n, tuple(zip(ends[::2], ends[1::2])), d1.loops + d2.loops + circles)
 
 
 def closure_loop_count(d: TLDiagram) -> int:
     """Circles of the braid-style closure (top j joined to bottom j)."""
     n = d.strands
-    uf = _UnionFind(2 * n)
-    for a, b in d.matching:
-        uf.union(a, b)
-    for j in range(n):
-        uf.union(j, n + j)
-    return len({uf.find(q) for q in range(2 * n)}) + d.loops
+    closure = [*d.matching, *((j, n + j) for j in range(n))]
+    return len(set(_components(2 * n, closure))) + d.loops
 
 
 def check_state_sum_size(b: BraidWord, points: int = 1) -> None:

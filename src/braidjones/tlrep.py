@@ -126,7 +126,10 @@ def build_U(params: ReprParams) -> tuple[np.ndarray, np.ndarray]:
     """(U1, U2) at admissible parameters; both real symmetric and read-only.
 
     delta^2 >= 1 there, so a negative 1 - delta^-2 is rounding at an
-    endpoint; taking the real part leaves the endpoint's exact b = 0.
+    endpoint, and taking the real part gives the endpoint's b = 0, as at
+    60 degrees.  Rounding can also go the other way: at 30 degrees delta is
+    -1.0000000000000002, so the off-diagonal entry b = sqrt(1 - delta^-2)
+    is 2.1e-8 rather than 0.
     """
     pair = tuple(u.real for u in tl_generators(params.delta))
     for u in pair:

@@ -48,6 +48,16 @@ GAPS = (
 PRESET_WORDS = ("trefoil", "figure8", "borromean")
 GRID_RAD = tuple(math.radians(k) for k in range(31))
 
+# Jones polynomials from the knot tables: the trefoil, the figure eight knot
+# and the Borromean rings
+PUBLISHED_JONES = {
+    "s1^3 s2": lambda t: t + t**3 - t**4,
+    "s1 s2^-1 s1 s2^-1": lambda t: t**-2 - t**-1 + 1 - t + t**2,
+    "s1 s2^-1 s1 s2^-1 s1 s2^-1": (
+        lambda t: -(t**3) + 3 * t**2 - 2 * t + 4 - 2 * t**-1 + 3 * t**-2 - t**-3
+    ),
+}
+
 
 @contextmanager
 def criterion(number, name):
@@ -228,3 +238,28 @@ def test_criterion_9_cli_end_to_end(tmp_path):
             args + ["--oracle-tol", "1e-30"], capture_output=True, text=True, env=env
         )
         assert corrupted.returncode != 0
+
+
+def test_criterion_10_published_jones_polynomials():
+    with criterion(10, "published Jones polynomials"):
+        degrees = [k / 2 for k in range(61)] + [100.0, 150.0, 337.5]
+        trefoil = PUBLISHED_JONES["s1^3 s2"]
+        for deg in degrees:
+            params = ReprParams.from_theta(math.radians(deg))
+            for word, jones in PUBLISHED_JONES.items():
+                values = evaluate(parse_braid(word, 3), params)
+                assert abs(values.jones - jones(values.t)) <= 1e-12
+            # the preset s1^3 closes to the trefoil plus a split unknot
+            values = evaluate(preset("trefoil"), params)
+            assert abs(values.jones - params.delta * trefoil(values.t)) <= 1e-12
+        # V(1), V(e^(-2*pi*i/3)) and V(i), word by word
+        for deg, t, expected in (
+            (0.0, 1.0, (1, 1, 4)),
+            (30.0, cmath.exp(-2j * math.pi / 3), (1, 1, 1)),
+            (337.5, 1j, (-1, -1, -2)),
+        ):
+            params = ReprParams.from_theta(math.radians(deg))
+            for word, value in zip(PUBLISHED_JONES, expected):
+                values = evaluate(parse_braid(word, 3), params)
+                assert abs(values.t - t) <= 1e-12
+                assert abs(values.jones - value) <= 1e-12

@@ -190,6 +190,25 @@ def test_cli_sweep_end_to_end(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "flags, refusal",
+    [
+        (("--preset", "trefoil", "--theta-min-deg", "40", "--theta-max-deg", "50"),
+         "error: theta = 40.0 deg is outside the admissible angle set\n"),
+        (("--braid", "s1^20", "--oracle", "--theta-step-deg", "0.5"),
+         "error: --oracle: 61 gridpoints of 2^20 state-sum terms exceed "
+         "MAX_ORACLE_TERMS = 33554432\n"),
+    ],
+    ids=("inadmissible-angle", "oracle-budget"),
+)
+def test_cli_refused_sweep_leaves_out_untouched(tmp_path, capsys, flags, refusal):
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"prior bytes\n")
+    assert main(["sweep", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == refusal
+    assert out.read_bytes() == b"prior bytes\n"
+
+
 def test_cli_sweep_corrupted_tolerance_fails(tmp_path):
     out = tmp_path / "sweep.csv"
     result = run_cli(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from braidjones.braid import BraidGenerator
-from braidjones.nmr import controlled_u
+from braidjones.nmr import SIGMA_Y, SIGMA_Z, controlled_u
 from braidjones.pulses import (
     PulseInstruction,
     PulseProgram,
@@ -66,6 +66,37 @@ def test_pulse_angles_gamma_continuity():
     fine = [math.pi / 6 - k * 1e-8 for k in range(10, -1, -1)]
     fine_steps = np.abs(np.diff([pulse_angles(t, 2)[2] for t in fine]))
     assert fine_steps.max() < 1e-3
+
+
+def _gate_from_angles(theta, which):
+    # exp(i*(pi - beta)) * Rz(a) * Ry(b) * Rz(c), R_v(phi) = exp(-i*phi*sigma_v/2)
+    alpha, beta, gamma = pulse_angles(theta, which)
+    a, b, c = (-alpha, 0.0, -alpha) if which == 1 else (2 * alpha - math.pi, gamma, 2 * alpha)
+    r = lambda sigma, phi: math.cos(phi / 2) * np.eye(2) - 1j * math.sin(phi / 2) * sigma
+    return np.exp(1j * (math.pi - beta)) * r(SIGMA_Z, a) @ r(SIGMA_Y, b) @ r(SIGMA_Z, c)
+
+
+def test_pulse_angles_build_the_gate_images():
+    for k in range(24):
+        theta = k * (math.pi / 6) / 24
+        params = ReprParams.from_theta(theta)
+        for which in (1, 2):
+            gate = _gate_from_angles(theta, which)
+            forward = rho_generator(BraidGenerator(which, 1), params)
+            inverse = rho_generator(BraidGenerator(which, -1), params)
+            assert np.max(np.abs(gate - forward)) <= 1e-12
+            assert np.max(np.abs(gate.conj().T - inverse)) <= 1e-12
+    # at pi/6, delta = -2*cos(pi/3) rounds to -1.0000000000000002, so build_U's
+    # off-diagonal sqrt(1 - delta^-2) is 2.1e-8 where the endpoint's is 0 (and
+    # compile builds Ry(4.2e-8)), while pulse_angles returns the limit gamma = 0
+    params = ReprParams.from_theta(math.pi / 6)
+    gap = [
+        np.max(np.abs(_gate_from_angles(math.pi / 6, which)
+                      - rho_generator(BraidGenerator(which, 1), params)))
+        for which in (1, 2)
+    ]
+    assert gap[0] <= 1e-12
+    assert 0.0 < gap[1] < 1e-7
 
 
 def test_instruction_validation():
