@@ -27,6 +27,7 @@ alpha_1 <= 2, and positivity is not enforced.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,6 +65,8 @@ class MeasurementPrecision:
     """Measurement precision epsilon, probe polarization alpha1 and noise seed.
 
     Each check's message starts with the name of the field it refuses.
+    ``seed`` may be any non-negative integral number, a numpy integer
+    included, and is stored as a plain ``int``.
     """
 
     epsilon: float = 0.0
@@ -80,8 +83,9 @@ class MeasurementPrecision:
             )
         if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
             raise ValueError(f"alpha1 must be finite and positive, got {self.alpha1!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,13 +12,15 @@ trace(U_1 U_2) = 1.  Braid generators map to
 
     rho(sigma_i) = A*I + A^-1 * U_i
 
-which is unitary exactly when delta^2 >= 1, i.e. for theta in the closed
-union
+which is unitary exactly when |delta| >= 1.  That rule, applied to the float
+delta the generators are built from, is what ``is_admissible`` decides; mod
+2*pi it is the closed union
 
-    [0, pi/6] u [pi/3, 2pi/3] u [5pi/6, 7pi/6] u [4pi/3, 5pi/3] u [11pi/6, 2pi].
+    [0, pi/6] u [pi/3, 2pi/3] u [5pi/6, 7pi/6] u [4pi/3, 5pi/3] u [11pi/6, 2pi]
 
-A point is fixed by theta alone.  At the interval endpoints delta^2 = 1, the
-pair stays real and U2 degenerates to a rank-1 diagonal: handled, not an error.
+published as ``ADMISSIBLE_INTERVALS``.  A point is fixed by theta alone.  At
+the interval endpoints |delta| = 1, the pair stays real and U2 degenerates to
+a rank-1 diagonal: handled, not an error.
 """
 
 from __future__ import annotations
@@ -42,20 +44,18 @@ __all__ = [
     "rho_word",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 ADMISSIBLE_INTERVALS: tuple[tuple[float, float], ...] = (
     (0.0, math.pi / 6),
     (math.pi / 3, 2 * math.pi / 3),
     (5 * math.pi / 6, 7 * math.pi / 6),
     (4 * math.pi / 3, 5 * math.pi / 3),
-    (11 * math.pi / 6, TWO_PI),
+    (11 * math.pi / 6, 2 * math.pi),
 )
 
-# 1e-12 plus the rounding between an endpoint's two float forms, so the slop
-# is the same measured from either: math.radians(210) lies one ulp above
-# 7*math.pi/6, and theta % TWO_PI rounds once more.
-_EDGE_TOL = 1e-12 + 4 * math.ulp(TWO_PI)
+# A 1e-12 rad slop at every endpoint, in delta: |d delta / d theta| =
+# 4*|sin(2*theta)| is 2*sqrt(3) wherever |delta| = 1, so 1e-12 rad moves delta
+# by 3.46e-12; the rest covers rounding in cos and in the endpoint's float form.
+_DELTA_SLOP = 3.5e-12
 
 
 def delta_from_theta(theta: float) -> float:
@@ -64,16 +64,15 @@ def delta_from_theta(theta: float) -> float:
 
 
 def is_admissible(theta: float) -> bool:
-    """True iff theta (taken mod 2*pi) gives a unitary representation.
+    """True iff theta is finite and |delta_from_theta(theta)| >= 1.
 
-    The admissible set is the closed union in ADMISSIBLE_INTERVALS,
-    equivalently delta^2 >= 1.  A 1e-12 slop at the interval endpoints
-    absorbs the rounding of inputs like ``math.radians(30)``; it holds from
-    the ``ADMISSIBLE_INTERVALS`` constants and from ``math.radians`` of the
-    endpoint degrees alike.
+    This is the unitarity rule itself, judged on the same float delta that
+    ``ReprParams`` and ``build_U`` use, however large theta is; modulo 2*pi
+    it is the closed union in ADMISSIBLE_INTERVALS.  A slop of 3.5e-12 in
+    delta, about 1e-12 rad at every endpoint, absorbs the rounding of inputs
+    like ``math.radians(30)``.  Infinite and NaN theta are not admissible.
     """
-    t = theta % TWO_PI
-    return any(lo - _EDGE_TOL <= t <= hi + _EDGE_TOL for lo, hi in ADMISSIBLE_INTERVALS)
+    return math.isfinite(theta) and abs(delta_from_theta(theta)) >= 1.0 - _DELTA_SLOP
 
 
 @dataclass(frozen=True)

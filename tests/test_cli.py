@@ -267,6 +267,16 @@ def test_cli_rejects_inadmissible_sweep():
     assert "admissible" in result.stderr
 
 
+@pytest.mark.parametrize("word", (("--preset", "trefoil"), ("--braid", "s1 s2")))
+def test_cli_judges_a_huge_angle_on_its_true_delta(word, capsys):
+    # 1e300 deg is a finite angle whose delta is 0.23: inside a gap
+    args = ["sweep", *word, "--theta-min-deg", "1e300", "--theta-max-deg", "1e300"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theta = 1e+300 deg is outside the admissible angle set\n"
+
+
 def test_run_sweep_builds_each_letter_image_once_per_point(monkeypatch):
     calls = 0
     original = braidjones.tlrep.rho_generator

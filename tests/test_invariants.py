@@ -41,6 +41,40 @@ def _reference_state_sum(b, A):
     return total
 
 
+def _exact_bracket(b, k):
+    """Bracket of the closure at A = i**k, exactly: a transfer over the planar pairings.
+
+    Each coefficient is a Gaussian integer held as an (re, im) pair of ints,
+    since A**+-1 is a unit and delta = -A**2 - A**-2 = -2 * (-1)**k.  Letters
+    are stacked last first, as in ``bracket_state_sum``: a letter's vertical
+    smoothing has weight A**sign, its cup-cap A**-sign * delta**closed.
+    """
+    n = b.strands
+    delta = -2 if k % 2 == 0 else 2
+
+    def times_unit(z, power):
+        re, im = z
+        for _ in range(power * k % 4):
+            re, im = -im, re
+        return re, im
+
+    coeffs = {identity_diagram(n).matching: (1, 0)}
+    for g in reversed(b.letters):
+        stacked = {}
+        for matching, z in coeffs.items():
+            cupped, closed = braidjones.invariants._stack_cup_cap(n, matching, g.index)
+            for target, power, scale in ((matching, g.sign, 1), (cupped, -g.sign, delta**closed)):
+                re, im = times_unit(z, power)
+                old_re, old_im = stacked.get(target, (0, 0))
+                stacked[target] = (old_re + scale * re, old_im + scale * im)
+        coeffs = stacked
+    total_re = total_im = 0
+    for matching, (re, im) in coeffs.items():
+        weight = delta ** (braidjones.invariants._closure_circles(n, matching) - 1)
+        total_re, total_im = total_re + weight * re, total_im + weight * im
+    return complex(total_re, total_im)
+
+
 @st.composite
 def _words(draw):
     n = draw(st.integers(2, 5))
@@ -57,6 +91,27 @@ _non_unit = st.builds(lambda r, z: r * z, st.floats(0.5, 2.0), _unit)
 @given(b=_words(), A=st.one_of(_unit, _unit, _unit, _non_unit))
 def test_state_sum_equals_reference_enumeration(b, A):
     assert bracket_state_sum(b, A) == _reference_state_sum(b, A)
+
+
+@settings(deadline=None, max_examples=50)
+@given(b=_words(), k=st.integers(0, 3))
+def test_exact_transfer_equals_the_state_sum_at_fourth_roots_of_unity(b, k):
+    assert abs(bracket_state_sum(b, 1j**k) - _exact_bracket(b, k)) < 1e-12
+
+
+# the first independent check of words past the state sum's MAX_LETTERS cap
+@pytest.mark.parametrize("length", [10, 100, 1000, 3000])
+def test_trace_formula_matches_the_exact_transfer_on_long_words(length):
+    rng = np.random.default_rng(length)
+    letters = [
+        BraidGenerator(int(index), int(sign))
+        for index, sign in zip(rng.integers(1, 3, size=length), rng.choice((-1, 1), size=length))
+    ]
+    word = BraidWord(3, tuple(letters))
+    # theta = 0, 90, 180 and 270 degrees: A = 1, i, -1 and -i, all admissible
+    for k in range(4):
+        bracket = evaluate(word, ReprParams(k * math.pi / 2)).bracket
+        assert abs(bracket - _exact_bracket(word, k)) < 1e-12
 
 
 def test_state_sum_memoises_diagram_work(monkeypatch):

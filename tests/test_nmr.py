@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +200,14 @@ def test_precision_refuses_an_unusable_noise_band_or_seed(kwargs, field):
     with pytest.raises(ValueError) as exc:
         MeasurementPrecision(**kwargs)
     assert str(exc.value).startswith(f"{field} must ")
+
+
+def test_precision_accepts_a_numpy_integer_seed():
+    prec = MeasurementPrecision(epsilon=1e-2, seed=np.int64(3))
+    assert type(prec.seed) is int and prec == replace(prec, seed=3)
+    sweeps = [run_sweep(preset("borromean"), [0.0, 15.0, 30.0], replace(prec, seed=seed))
+              for seed in (np.int64(3), 3)]
+    assert [r.trace_nmr for r in sweeps[0]] == [r.trace_nmr for r in sweeps[1]]
 
 
 def test_precision_accepts_the_widest_finite_noise_band():

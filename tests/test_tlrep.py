@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidjones.braid import BraidGenerator, BraidWord, invert, parse_braid
 from braidjones.nmr import controlled_u
 from braidjones.tlrep import (
+    _DELTA_SLOP,
     ADMISSIBLE_INTERVALS,
     ReprParams,
     build_U,
@@ -57,6 +58,37 @@ def test_admissible_means_delta_squared_at_least_one():
             assert delta_from_theta(theta) ** 2 >= 1.0 - 1e-11
         else:
             assert delta_from_theta(theta) ** 2 < 1.0
+
+
+def test_admissible_intervals_agree_with_the_delta_rule():
+    # the table is published for readers; is_admissible decides by |delta| alone
+    assert ADMISSIBLE_INTERVALS[0][0] == 0.0 and ADMISSIBLE_INTERVALS[-1][1] == 2 * math.pi
+    for lo, hi in ADMISSIBLE_INTERVALS:
+        assert abs(delta_from_theta(0.5 * (lo + hi))) > 1.0
+    for (_, gap_lo), (gap_hi, _) in zip(ADMISSIBLE_INTERVALS, ADMISSIBLE_INTERVALS[1:]):
+        for endpoint in (gap_lo, gap_hi):
+            assert abs(abs(delta_from_theta(endpoint)) - 1.0) <= _DELTA_SLOP
+        assert abs(delta_from_theta(0.5 * (gap_lo + gap_hi))) < 1.0
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_non_finite_angles_are_not_admissible(theta):
+    assert is_admissible(theta) is False
+    with pytest.raises(ValueError, match="lies outside the admissible angle set"):
+        ReprParams(theta)
+
+
+@settings(deadline=None)
+@given(
+    letters=st.lists(
+        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
+        max_size=40,
+    ),
+    theta=st.floats(-1e6, 1e6),
+)
+def test_every_admissible_angle_gives_a_unitary_word_image(letters, theta):
+    assume(is_admissible(theta))
+    controlled_u(rho_word(BraidWord(3, tuple(letters)), ReprParams(theta)))
 
 
 def test_repr_params_rejects_gap_angles():
