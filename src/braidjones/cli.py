@@ -288,8 +288,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
+def _gate_theta(deg: float) -> float:
+    """``--theta-deg`` in radians, refused outside the gates' domain [0, pi/6]."""
+    if not 0.0 <= deg <= 30.0:
+        raise ValueError(f"--theta-deg must lie in [0, 30], got {deg!r}")
+    return math.radians(deg)
+
+
 def _cmd_angles(args: argparse.Namespace) -> int:
-    alpha, beta, gamma = pulse_angles(math.radians(args.theta_deg), args.which)
+    alpha, beta, gamma = pulse_angles(_gate_theta(args.theta_deg), args.which)
     print(f"alpha={alpha!r}")
     print(f"beta={beta!r}")
     print(f"gamma={gamma!r}")
@@ -297,7 +304,7 @@ def _cmd_angles(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    theta = math.radians(args.theta_deg)
+    theta = _gate_theta(args.theta_deg)
     program = compile_controlled_s(args.which, theta, inverse=args.inverse)
     params = ReprParams.from_theta(theta)
     s = rho_generator(BraidGenerator(args.which, -1 if args.inverse else 1), params)

@@ -261,6 +261,15 @@ def test_cli_compile_inverse():
     assert float(result.stdout.splitlines()[-1].split("=")[1]) >= 1.0 - 1e-10
 
 
+@pytest.mark.parametrize("command", (("angles",), ("compile", "--inverse")))
+@pytest.mark.parametrize("deg", ("45", "-1", "nan", "inf"))
+def test_cli_gate_commands_name_the_theta_flag(command, deg, capsys):
+    assert main([*command, "--theta-deg", deg, "--which", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --theta-deg must lie in [0, 30], got {float(deg)!r}\n"
+
+
 def test_cli_rejects_inadmissible_sweep():
     result = run_cli("sweep", "--preset", "trefoil", "--theta-max-deg", "45")
     assert result.returncode == 2

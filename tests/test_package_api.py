@@ -5,10 +5,12 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import braidjones
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# every submodule but the entry point, which runs the CLI when imported
+# every submodule but the launcher, which exports no names
 SUBMODULES = [m.name for m in pkgutil.iter_modules(braidjones.__path__) if m.name != "__main__"]
 
 
@@ -18,6 +20,19 @@ def test_every_public_name_is_exported_by_the_package():
         module = importlib.import_module(f"braidjones.{name}")
         for public in module.__all__:
             assert getattr(braidjones, public) is getattr(module, public), (name, public)
+
+
+def test_star_import_binds_exactly_the_submodules_public_names():
+    namespace = {}
+    exec("from braidjones import *", namespace)
+    del namespace["__builtins__"]
+    modules = [importlib.import_module(f"braidjones.{name}") for name in SUBMODULES]
+    public = [n for module in modules for n in module.__all__]
+    assert sorted(namespace) == sorted(public) == sorted(braidjones.__all__)
+    for name, module in zip(SUBMODULES, modules):
+        assert getattr(braidjones, name) is module
+    with pytest.raises(AttributeError, match="no_such_name"):
+        braidjones.no_such_name
 
 
 def test_readme_library_example_runs():

@@ -9,7 +9,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import braidjones  # noqa: F401  (loads every submodule)
+import braidjones  # noqa: F401  (registers every submodule in sys.modules)
 from braidjones.tlrep import ReprParams
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
