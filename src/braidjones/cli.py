@@ -22,7 +22,14 @@ from dataclasses import dataclass, replace
 from .braid import BraidGenerator, BraidWord, parse_braid
 from .invariants import bracket_state_sum, check_state_sum_size, evaluate
 from .nmr import MeasurementPrecision, controlled_u, estimate_trace, trace_error_bound
-from .pulses import compile_controlled_s, format_program, pulse_angles, verify_program
+from .pulses import (
+    GATE_THETA_MAX,
+    check_gate_theta,
+    compile_controlled_s,
+    format_program,
+    pulse_angles,
+    verify_program,
+)
 from .tlrep import ReprParams, is_admissible, rho_generator
 
 __all__ = [
@@ -289,10 +296,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _gate_theta(deg: float) -> float:
-    """``--theta-deg`` in radians, refused outside the gates' domain [0, pi/6]."""
-    if not 0.0 <= deg <= 30.0:
-        raise ValueError(f"--theta-deg must lie in [0, 30], got {deg!r}")
-    return math.radians(deg)
+    """``--theta-deg`` in radians; ``pulses`` decides the domain, the refusal names the flag."""
+    theta = math.radians(deg)
+    try:
+        check_gate_theta(theta)
+    except ValueError:
+        bound = math.degrees(GATE_THETA_MAX)
+        raise ValueError(f"--theta-deg must lie in [0, {bound:g}], got {deg!r}") from None
+    return theta
 
 
 def _cmd_angles(args: argparse.Namespace) -> int:
@@ -331,7 +342,3 @@ def main(argv: list[str] | None = None) -> int:
             # the interpreter flushes stdout on exit; let the unwritten bytes go to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -47,6 +47,7 @@ __all__ = [
     "rot",
     "couple",
     "phase",
+    "check_gate_theta",
     "pulse_angles",
     "compile_controlled_s",
     "simulate_program",
@@ -54,6 +55,9 @@ __all__ = [
     "format_program",
     "parse_program",
 ]
+
+# the gates' theta domain is [0, GATE_THETA_MAX], where the gamma denominator is real
+GATE_THETA_MAX = math.pi / 6
 
 # instruction kind -> text token, and rotation axis -> Pauli matrix
 _TOKENS = {"rotation": "ROT", "coupling": "COUPLE", "phase": "PHASE"}
@@ -113,11 +117,16 @@ class PulseProgram:
             raise ValueError("a pulse program cannot be empty")
 
 
+def check_gate_theta(theta: float) -> None:
+    """Refuse a theta outside [0, GATE_THETA_MAX], allowing 1e-12 of rounding."""
+    if not -1e-12 <= theta <= GATE_THETA_MAX + 1e-12:
+        raise ValueError(f"theta must lie in [0, pi/6], got {theta!r}")
+
+
 def _check_gate_domain(which: int, theta: float) -> None:
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
-    if not -1e-12 <= theta <= math.pi / 6 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/6], got {theta!r}")
+    check_gate_theta(theta)
 
 
 def pulse_angles(theta: float, which: int) -> tuple[float, float, float]:

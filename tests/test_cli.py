@@ -270,6 +270,13 @@ def test_cli_gate_commands_name_the_theta_flag(command, deg, capsys):
     assert captured.err == f"error: --theta-deg must lie in [0, 30], got {float(deg)!r}\n"
 
 
+@pytest.mark.parametrize("deg, status", (("-1e-11", 0), ("30.00000000001", 0), ("30.000000001", 2)))
+def test_cli_gate_commands_take_the_domain_pulses_takes(deg, status, capsys):
+    # pulses allows 1e-12 rad (5.7e-11 deg) of rounding past each end; the CLI refuses no less
+    assert main(["angles", f"--theta-deg={deg}", "--which", "2"]) == status
+    assert (capsys.readouterr().err == "") == (status == 0)
+
+
 def test_cli_rejects_inadmissible_sweep():
     result = run_cli("sweep", "--preset", "trefoil", "--theta-max-deg", "45")
     assert result.returncode == 2

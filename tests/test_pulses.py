@@ -7,8 +7,10 @@ import pytest
 from braidjones.braid import BraidGenerator
 from braidjones.nmr import SIGMA_Y, SIGMA_Z, controlled_u
 from braidjones.pulses import (
+    GATE_THETA_MAX,
     PulseInstruction,
     PulseProgram,
+    check_gate_theta,
     compile_controlled_s,
     couple,
     format_program,
@@ -51,6 +53,14 @@ def test_pulse_angles_domain():
         pulse_angles(math.pi / 4, 2)
     with pytest.raises(ValueError, match="theta"):
         pulse_angles(-0.1, 2)
+
+
+def test_check_gate_theta_allows_rounding_at_the_ends_only():
+    for theta in (-1e-12, 0.0, GATE_THETA_MAX, GATE_THETA_MAX + 1e-12):
+        check_gate_theta(theta)
+    for theta in (-2e-12, GATE_THETA_MAX + 2e-12, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/6\]"):
+            check_gate_theta(theta)
 
 
 def test_pulse_angles_gamma_continuity():
