@@ -32,7 +32,6 @@ __all__ = [
     "BraidWord",
     "BraidParseError",
     "parse_braid",
-    "render",
     "exponent_sum",
     "invert",
     "concat",
@@ -158,13 +157,6 @@ def _parse_term(
 def _token_start(text: str, j: int) -> int:
     """Character offset of the j-th whitespace-separated token of ``text``."""
     return next(islice(_TOKEN_RE.finditer(text), j, None)).start()
-
-
-def render(b: BraidWord) -> str:
-    """Canonical printer, one token per letter; parse_braid(render(b), n) == b."""
-    return " ".join(
-        f"s{g.index}" if g.sign == 1 else f"s{g.index}^-1" for g in b.letters
-    )
 
 
 def exponent_sum(b: BraidWord) -> int:

@@ -19,7 +19,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
-from .braid import BraidGenerator, BraidWord, parse_braid
+from .braid import BraidWord, parse_braid
 from .invariants import bracket_state_sum, check_state_sum_size, evaluate
 from .nmr import MeasurementPrecision, controlled_u, estimate_trace, trace_error_bound
 from .pulses import (
@@ -27,10 +27,11 @@ from .pulses import (
     check_gate_theta,
     compile_controlled_s,
     format_program,
+    gate_block,
     pulse_angles,
     verify_program,
 )
-from .tlrep import ReprParams, is_admissible, rho_generator
+from .tlrep import ReprParams, is_admissible
 
 __all__ = [
     "SweepRecord",
@@ -317,9 +318,7 @@ def _cmd_angles(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     theta = _gate_theta(args.theta_deg)
     program = compile_controlled_s(args.which, theta, inverse=args.inverse)
-    params = ReprParams.from_theta(theta)
-    s = rho_generator(BraidGenerator(args.which, -1 if args.inverse else 1), params)
-    fidelity = verify_program(program, controlled_u(s))
+    fidelity = verify_program(program, controlled_u(gate_block(args.which, theta, args.inverse)))
     print(format_program(program))
     print(f"fidelity={fidelity!r}")
     return 0

@@ -9,7 +9,8 @@ Instruction propagators (two spin-1/2 nuclei, 4x4 matrices):
 
 Instructions are listed in time order; the program propagator multiplies
 right to left (the last instruction is the leftmost matrix factor).  The
-``_TOKENS`` table is the one statement of the text format's instructions.
+``_TOKENS`` table is the one statement of the printed format's instructions;
+the format is output only.
 
 The compiler targets cU = identity (+) s_j with s_j = rho(sigma_j).  It
 ZYZ-factors s_j = exp(i*d0) * Rz(a) * Ry(b) * Rz(c) and assembles the
@@ -48,12 +49,12 @@ __all__ = [
     "couple",
     "phase",
     "check_gate_theta",
+    "gate_block",
     "pulse_angles",
     "compile_controlled_s",
     "simulate_program",
     "verify_program",
     "format_program",
-    "parse_program",
 ]
 
 # the gates' theta domain is [0, GATE_THETA_MAX], where the gamma denominator is real
@@ -62,7 +63,6 @@ GATE_THETA_MAX = math.pi / 6
 # instruction kind -> text token, and rotation axis -> Pauli matrix
 _TOKENS = {"rotation": "ROT", "coupling": "COUPLE", "phase": "PHASE"}
 _PAULI = {"y": SIGMA_Y, "z": SIGMA_Z}
-_OPERANDS = ("spin", "axis", "angle")
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,12 @@ def _check_gate_domain(which: int, theta: float) -> None:
     check_gate_theta(theta)
 
 
+def gate_block(which: int, theta: float, inverse: bool = False) -> np.ndarray:
+    """The 2x2 gate rho(sigma_which^(+-1)) the compiled program controls."""
+    _check_gate_domain(which, theta)
+    return rho_generator(BraidGenerator(which, -1 if inverse else 1), ReprParams.from_theta(theta))
+
+
 def pulse_angles(theta: float, which: int) -> tuple[float, float, float]:
     """Rotation angles (alpha, beta, gamma) of the hardware-style sequence.
 
@@ -157,9 +163,7 @@ def compile_controlled_s(which: int, theta: float, inverse: bool = False) -> Pul
     conjugate transpose.  The construction is exact, so verifying against
     the block target returns fidelity 1 up to floating-point rounding.
     """
-    _check_gate_domain(which, theta)
-    params = ReprParams.from_theta(theta)
-    s = rho_generator(BraidGenerator(which, -1 if inverse else 1), params)
+    s = gate_block(which, theta, inverse)
     d0 = 0.5 * cmath.phase(complex(np.linalg.det(s)))
     su = cmath.exp(-1j * d0) * s
     b = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
@@ -212,42 +216,10 @@ def verify_program(p: PulseProgram, target: np.ndarray) -> float:
 
 
 def format_program(p: PulseProgram) -> str:
-    """One ``_TOKENS`` line per instruction; floats use repr so parsing is lossless."""
+    """One ``_TOKENS`` line per instruction; floats use repr, so no digit is lost."""
     lines = []
     for ins in p.instructions:
         operands = f"spin={ins.spin} axis={ins.axis} " if ins.kind == "rotation" else ""
         lines.append(f"{_TOKENS[ins.kind]} {operands}angle={ins.angle!r}")
     return "\n".join(lines)
 
-
-def parse_program(text: str) -> PulseProgram:
-    """Inverse of format_program; blank lines are skipped, the rest checked as instructions.
-
-    Each operand is one of spin, axis and angle, written as key=value at most once.
-    """
-    kinds = {token: kind for kind, token in _TOKENS.items()}
-    instructions: list[PulseInstruction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        token, *fields = line.split()
-        try:
-            if token not in kinds:
-                raise ValueError(f"unknown instruction {token!r}")
-            kw: dict[str, str] = {}
-            for field in fields:
-                key, eq, value = field.partition("=")
-                if not eq:
-                    raise ValueError(f"operand {field!r} has no '='")
-                if key not in _OPERANDS:
-                    raise ValueError(f"unknown operand {key!r}")
-                if key in kw:
-                    raise ValueError(f"repeated operand {key!r}")
-                kw[key] = value
-            spin = int(kw["spin"]) if "spin" in kw else None
-            ins = PulseInstruction(kinds[token], spin, kw.get("axis"), float(kw["angle"]))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}: {exc}") from None
-        instructions.append(ins)
-    return PulseProgram(tuple(instructions))

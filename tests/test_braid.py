@@ -15,7 +15,6 @@ from braidjones.braid import (
     exponent_sum,
     invert,
     parse_braid,
-    render,
 )
 
 
@@ -98,13 +97,6 @@ def _random_word(rng, strands=4, max_len=10):
         for _ in range(length)
     )
     return BraidWord(strands, letters)
-
-
-def test_render_parse_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        word = _random_word(rng)
-        assert parse_braid(render(word), word.strands) == word
 
 
 def test_exponent_sum_properties():

@@ -245,6 +245,19 @@ def test_cli_angles():
     assert abs(float(values["gamma"]) - 2 * math.pi / 3) < 1e-12
 
 
+# sha256 over the angles command's stdout at k * 1.25 deg, k = 0..24, for
+# which = 1 then which = 2; recorded before gate_block existed
+ANGLES_GRID_SHA256 = "b73dbdba9f0fb16f14462b253e4c6e8de35932fd49d5551f7cf641e213552c95"
+
+
+def test_cli_angles_match_golden_bytes(capsys):
+    digest = hashlib.sha256()
+    for which in (1, 2):
+        for k in range(25):
+            assert main(["angles", "--theta-deg", repr(k * 1.25), "--which", str(which)]) == 0
+            digest.update(capsys.readouterr().out.encode("ascii"))
+    assert digest.hexdigest() == ANGLES_GRID_SHA256
+
 def test_cli_compile():
     result = run_cli("compile", "--theta-deg", "15", "--which", "2")
     assert result.returncode == 0

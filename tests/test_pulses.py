@@ -14,7 +14,7 @@ from braidjones.pulses import (
     compile_controlled_s,
     couple,
     format_program,
-    parse_program,
+    gate_block,
     phase,
     pulse_angles,
     rot,
@@ -28,6 +28,23 @@ def _target(which, theta, inverse=False):
     params = ReprParams.from_theta(theta)
     s = rho_generator(BraidGenerator(which, -1 if inverse else 1), params)
     return controlled_u(s)
+
+
+def test_gate_block_is_the_generator_image():
+    for k in range(25):
+        theta = math.radians(k * 1.25)
+        for which in (1, 2):
+            for inverse in (False, True):
+                expected = rho_generator(
+                    BraidGenerator(which, -1 if inverse else 1), ReprParams(theta)
+                )
+                assert np.array_equal(gate_block(which, theta, inverse), expected)
+    with pytest.raises(ValueError) as exc:
+        gate_block(3, 0.1)
+    assert str(exc.value) == "which must be 1 or 2, got 3"
+    with pytest.raises(ValueError) as exc:
+        gate_block(1, math.radians(45))
+    assert str(exc.value) == "theta must lie in [0, pi/6], got 0.7853981633974483"
 
 
 def test_pulse_angles_at_zero():
@@ -194,21 +211,6 @@ def test_verify_program_properties():
         verify_program(program, np.eye(2))
 
 
-def test_program_print_parse_round_trip():
-    for which in (1, 2):
-        for theta in (0.0, 0.2, math.pi / 6):
-            program = compile_controlled_s(which, theta)
-            parsed = parse_program(format_program(program))
-            assert parsed.instructions == program.instructions
-
-
-def test_parse_program_errors():
-    with pytest.raises(ValueError, match="line 1"):
-        parse_program("WOBBLE angle=1.0")
-    with pytest.raises(ValueError, match="line 2"):
-        parse_program("PHASE angle=0.5\nROT spin=2 angle=1.0")
-
-
 # sha256 over the printed programs on the compile command's 25-angle grid,
 # both gates, with and without inverse; the format is a byte contract
 COMPILE_GRID_SHA256 = "cf24970e73b1a33f338ac3799dd34ac4da9dee71e7c06e9087208a6469ec5d46"
@@ -222,36 +224,3 @@ def test_format_program_matches_golden_bytes():
                 program = compile_controlled_s(which, math.radians(k * 1.25), inverse)
                 digest.update((format_program(program) + "\n").encode("ascii"))
     assert digest.hexdigest() == COMPILE_GRID_SHA256
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "WOBBLE angle=1.0",
-        "ROT axis=y angle=1.0",
-        "ROT spin=2 angle=1.0",
-        "ROT spin=2 axis=y",
-        "COUPLE",
-        "PHASE angle",
-        "ROT spin=two axis=y angle=1.0",
-        "COUPLE spin=2 angle=1",
-    ],
-)
-def test_parse_program_refuses_malformed_lines(line):
-    with pytest.raises(ValueError) as exc:
-        parse_program(f"PHASE angle=0.5\n\n{line}")
-    assert str(exc.value).startswith(f"line 3: cannot parse {line!r}: ")
-
-
-@pytest.mark.parametrize(
-    "line, reason",
-    [
-        ("PHASE angle=1 bogus=3 angle=2", "unknown operand 'bogus'"),
-        ("ROT spin=1 axis=y angle=1 angle=2", "repeated operand 'angle'"),
-        ("COUPLE angle=1 spin", "operand 'spin' has no '='"),
-    ],
-)
-def test_parse_program_refuses_operands_it_would_drop(line, reason):
-    with pytest.raises(ValueError) as exc:
-        parse_program(line)
-    assert str(exc.value) == f"line 1: cannot parse {line!r}: {reason}"
