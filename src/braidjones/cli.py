@@ -62,6 +62,8 @@ _DEFAULT_ORACLE_TOL = 1e-9
 
 # largest theta grid a sweep accepts; the grid list is built in memory
 MAX_GRID_POINTS = 10**6
+# largest letters x gridpoints a sweep accepts, about 25 s of word products
+MAX_SWEEP_PRODUCTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,22 @@ def run_sweep(
 
     Gridpoints are evaluated serially in input order; the point at index k
     perturbs its trace estimate with seed prec.seed + k.  Every angle must
-    be admissible, the word must have three strands and, with the oracle,
-    pass ``check_state_sum_size`` over the whole grid; the calibration
-    constant must not vanish and the error bound must be finite.  These
-    checks run before any gridpoint.  A check that fails at a gridpoint
-    raises ValueError naming the angle.
+    be admissible, the word must have three strands, letters times
+    gridpoints must not exceed ``MAX_SWEEP_PRODUCTS`` and, with the oracle,
+    the word must pass ``check_state_sum_size`` over the whole grid; the
+    calibration constant must not vanish and the error bound must be
+    finite.  These checks run before any gridpoint.  A check that fails at a
+    gridpoint raises ValueError naming the angle.
     """
     if b.strands != 3:
         raise ValueError(f"sweeps need a 3-strand word, got {b.strands} strands")
     grid = [(deg, math.radians(deg)) for deg in map(float, thetas_deg)]
+    products = len(b) * len(grid)
+    if products > MAX_SWEEP_PRODUCTS:
+        raise ValueError(
+            f"{len(grid)} gridpoints of {len(b)} letters are {products} letter products, "
+            f"over MAX_SWEEP_PRODUCTS = {MAX_SWEEP_PRODUCTS}"
+        )
     if with_oracle:
         try:
             check_state_sum_size(b, len(grid))
@@ -253,7 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    braid = preset(args.preset) if args.preset else parse_braid(args.braid, 3)
+    if args.preset:
+        braid = preset(args.preset)
+    else:
+        try:
+            braid = parse_braid(args.braid, 3)
+        except ValueError as exc:
+            raise ValueError(f"--braid: {exc}") from None
     for flag in ("theta_min_deg", "theta_max_deg", "theta_step_deg", "oracle_tol"):
         if not math.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite")

@@ -571,13 +571,45 @@ def test_cli_sweep_refuses_a_word_over_the_letter_cap(capsys):
     assert main(["sweep", "--braid", "s2 s1^1000000000000"]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: the word has more than 1000000 letters (at position 3)\n"
+        "error: --braid: the word has more than 1000000 letters (at position 3)\n"
     )
     result = run_cli("sweep", "--braid", "s1^1000000000000")
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr == "error: the word has more than 1000000 letters (at position 0)\n"
+    assert result.stderr == (
+        "error: --braid: the word has more than 1000000 letters (at position 0)\n"
+    )
 
+
+def test_cli_sweep_names_the_braid_flag_in_a_parse_error(capsys):
+    assert main(["sweep", "--braid", "s1 x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --braid: cannot parse braid term 'x' (at position 3)\n"
+
+
+def test_cli_sweep_refuses_a_sweep_over_the_product_cap(capsys):
+    start = time.perf_counter()
+    args = ["sweep", "--braid", _long_word(7, 3000), "--theta-step-deg", "0.0001"]
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 300001 gridpoints of 3000 letters are 900003000 letter products, "
+        "over MAX_SWEEP_PRODUCTS = 10000000\n"
+    )
+
+
+def test_cli_sweep_runs_a_sweep_at_the_product_cap(capsys, monkeypatch):
+    # the trefoil preset has 3 letters; the default grid has 31 points
+    monkeypatch.setattr(braidjones.cli, "MAX_SWEEP_PRODUCTS", 93)
+    assert main(["sweep", "--preset", "trefoil"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 32
+    assert main(["sweep", "--preset", "trefoil", "--theta-max-deg", "31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 32 gridpoints of 3 letters are 96 letter products")
 
 def _record(deg, bracket, oracle):
     (record,) = run_sweep(preset("trefoil"), [deg], with_oracle=True)
