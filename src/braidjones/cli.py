@@ -19,7 +19,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
-from .braid import BraidWord, parse_braid
+from .braid import BraidParseError, BraidWord, parse_braid
 from .invariants import bracket_state_sum, check_state_sum_size, evaluate
 from .nmr import MeasurementPrecision, controlled_u, estimate_trace, trace_error_bound
 from .pulses import (
@@ -62,7 +62,7 @@ _DEFAULT_ORACLE_TOL = 1e-9
 
 # largest theta grid a sweep accepts; the grid list is built in memory
 MAX_GRID_POINTS = 10**6
-# largest letters x gridpoints a sweep accepts, about 25 s of word products
+# largest letters x gridpoints a sweep accepts; at about 2 us a product, some 20 s of work
 MAX_SWEEP_PRODUCTS = 10**7
 
 
@@ -262,13 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.preset:
-        braid = preset(args.preset)
-    else:
-        try:
-            braid = parse_braid(args.braid, 3)
-        except ValueError as exc:
-            raise ValueError(f"--braid: {exc}") from None
+    try:
+        braid = preset(args.preset) if args.preset else parse_braid(args.braid, 3)
+    except BraidParseError as exc:
+        raise ValueError(f"--braid: {exc}") from None
     for flag in ("theta_min_deg", "theta_max_deg", "theta_step_deg", "oracle_tol"):
         if not math.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite")

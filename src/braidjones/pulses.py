@@ -130,7 +130,10 @@ def _check_gate_domain(which: int, theta: float) -> None:
 
 
 def gate_block(which: int, theta: float, inverse: bool = False) -> np.ndarray:
-    """The 2x2 gate rho(sigma_which^(+-1)) the compiled program controls."""
+    """rho(sigma_which), or with inverse=True its conjugate transpose: the controlled block.
+
+    Refuses which outside (1, 2) and theta outside [0, pi/6] as ``pulse_angles`` does.
+    """
     _check_gate_domain(which, theta)
     return rho_generator(BraidGenerator(which, -1 if inverse else 1), ReprParams.from_theta(theta))
 
