@@ -37,7 +37,6 @@ __all__ = [
     "SweepRecord",
     "PRESETS",
     "preset",
-    "default_grid",
     "run_sweep",
     "emit_csv",
     "CSV_COLUMNS",
@@ -60,10 +59,12 @@ CSV_COLUMNS = (
 _EXACT_TRACE_TOL = 1e-10
 _DEFAULT_ORACLE_TOL = 1e-9
 
-# largest theta grid a sweep accepts; the grid list is built in memory
-MAX_GRID_POINTS = 10**6
-# largest letters x gridpoints a sweep accepts; at about 2 us a product, some 20 s of work
+# largest cost a sweep accepts, in letter products (one 2x2 product per letter per
+# gridpoint); at about 2 us a product, some 20 s of work
 MAX_SWEEP_PRODUCTS = 10**7
+# a gridpoint's fixed work (probe, simulator, row) in letter products: on single-threaded
+# BLAS an empty-word gridpoint took 109 us and a letter 2.13 us per point
+_POINT_PRODUCTS = 50
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,26 @@ def preset(name: str) -> BraidWord:
     return parse_braid(word, 3)
 
 
-def default_grid() -> list[float]:
-    """0..30 degrees inclusive in 1-degree steps (31 values)."""
-    return [float(k) for k in range(31)]
+def _check_sweep_cost(b: BraidWord, points: float, with_oracle: bool) -> None:
+    """Refuse a sweep whose cost is over MAX_SWEEP_PRODUCTS, before any gridpoint.
+
+    Each of the ``points`` gridpoints costs its letters, _POINT_PRODUCTS and,
+    with the oracle, one product per state-sum term.  ``points`` may be a
+    float count, inf included, so an overflowed grid is refused, not converted.
+    """
+    terms = 0
+    if with_oracle:
+        try:
+            terms = check_state_sum_size(b)
+        except ValueError as exc:
+            raise ValueError(f"--oracle: {exc}") from None
+    cost = points * (len(b) + _POINT_PRODUCTS + terms)
+    if cost > MAX_SWEEP_PRODUCTS:
+        oracle = f" plus {terms} --oracle terms" if with_oracle else ""
+        raise ValueError(
+            f"{points:.12g} gridpoints of {len(b)} letters{oracle} cost {cost:.12g} "
+            f"letter products, over MAX_SWEEP_PRODUCTS = {MAX_SWEEP_PRODUCTS}"
+        )
 
 
 def run_sweep(
@@ -108,27 +126,16 @@ def run_sweep(
 
     Gridpoints are evaluated serially in input order; the point at index k
     perturbs its trace estimate with seed prec.seed + k.  Every angle must
-    be admissible, the word must have three strands, letters times
-    gridpoints must not exceed ``MAX_SWEEP_PRODUCTS`` and, with the oracle,
-    the word must pass ``check_state_sum_size`` over the whole grid; the
-    calibration constant must not vanish and the error bound must be
-    finite.  These checks run before any gridpoint.  A check that fails at a
-    gridpoint raises ValueError naming the angle.
+    be admissible, the word must have three strands, the sweep must pass
+    ``_check_sweep_cost`` (with the oracle, that includes the word checks of
+    ``check_state_sum_size``), the calibration constant must not vanish and
+    the error bound must be finite.  These checks run before any gridpoint.
+    A check that fails at a gridpoint raises ValueError naming the angle.
     """
     if b.strands != 3:
         raise ValueError(f"sweeps need a 3-strand word, got {b.strands} strands")
     grid = [(deg, math.radians(deg)) for deg in map(float, thetas_deg)]
-    products = len(b) * len(grid)
-    if products > MAX_SWEEP_PRODUCTS:
-        raise ValueError(
-            f"{len(grid)} gridpoints of {len(b)} letters are {products} letter products, "
-            f"over MAX_SWEEP_PRODUCTS = {MAX_SWEEP_PRODUCTS}"
-        )
-    if with_oracle:
-        try:
-            check_state_sum_size(b, len(grid))
-        except ValueError as exc:
-            raise ValueError(f"--oracle: {exc}") from None
+    _check_sweep_cost(b, len(grid), with_oracle)
     for deg, theta in grid:
         if not is_admissible(theta):
             raise ValueError(f"theta = {deg} deg is outside the admissible angle set")
@@ -283,9 +290,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if span < 0.0:
         raise ValueError(f"--theta-max-deg {hi!r} is below --theta-min-deg {lo!r}")
     steps = span / step + 1e-9
-    if not steps < MAX_GRID_POINTS:
-        raise ValueError(f"--theta-step-deg gives more than {MAX_GRID_POINTS} grid points")
-    grid = [lo + k * step for k in range(int(steps) + 1)]
+    # int() refuses an overflowed (inf) count; each gridpoint costs at least one
+    # product, so a count over the budget is refused as the float it is
+    points = int(steps) + 1 if steps < MAX_SWEEP_PRODUCTS else steps + 1
+    _check_sweep_cost(braid, points, args.oracle)
+    grid = [lo + k * step for k in range(points)]
     # a refused sweep raises here, before --out is opened, so it leaves the file as it was
     records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
     destination = nullcontext(sys.stdout)

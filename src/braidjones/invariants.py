@@ -11,9 +11,10 @@ and f, as a function of A, evaluated at A is the Jones value at t = A^-4.
 The oracle route is a Kauffman bracket state sum over all 2^c smoothings of
 the closed braid diagram; the smoothed diagrams are shared between states
 and memoised over the Catalan(n) planar diagrams, so the sum costs 2^c term
-additions.  The smoothing of a positive crossing weighted A
-is the vertical (identity) one and the cup-cap smoothing carries A^-1,
-mirrored for inverse crossings; each state contributes
+additions, the count ``check_state_sum_size`` returns for a sweep's budget.
+The smoothing of a positive crossing weighted A is the vertical (identity)
+one and the cup-cap smoothing carries A^-1, mirrored for inverse crossings;
+each state contributes
 
     A^(#A-smoothings - #B-smoothings) * delta^(circles - 1)
 
@@ -47,9 +48,6 @@ __all__ = [
 
 MAX_STRANDS = 8
 MAX_LETTERS = 20
-# largest points * 2^letters check_state_sum_size accepts: the state sum adds
-# 2^letters terms per point, so this bounds the oracle's total cost over a grid
-MAX_ORACLE_TERMS = 2**25
 
 
 @dataclass(frozen=True)
@@ -154,11 +152,11 @@ def closure_loop_count(d: TLDiagram) -> int:
     return len(set(_components(2 * n, closure))) + d.loops
 
 
-def check_state_sum_size(b: BraidWord, points: int = 1) -> None:
-    """Refuse a word over MAX_STRANDS or MAX_LETTERS, or a sum over MAX_ORACLE_TERMS.
+def check_state_sum_size(b: BraidWord) -> int:
+    """The state sum's term count for ``b``, 2^letters, once the word passes its limits.
 
-    ``points`` is the number of angles the caller sums the word at; each
-    costs 2^letters terms, so a grid is refused before its first point.
+    A word over MAX_STRANDS strands or MAX_LETTERS letters is refused.  The
+    count is the sum's cost at one angle, which a sweep charges per gridpoint.
     """
     if b.strands > MAX_STRANDS:
         raise ValueError(
@@ -170,11 +168,7 @@ def check_state_sum_size(b: BraidWord, points: int = 1) -> None:
             f"the word has {len(b.letters)} letters; "
             f"the state sum is limited to {MAX_LETTERS} letters"
         )
-    if points * 2 ** len(b.letters) > MAX_ORACLE_TERMS:
-        raise ValueError(
-            f"{points} gridpoints of 2^{len(b.letters)} state-sum terms "
-            f"exceed MAX_ORACLE_TERMS = {MAX_ORACLE_TERMS}"
-        )
+    return 2 ** len(b.letters)
 
 
 # Both caches are keyed by the pairing of a loop-free diagram, so they hold

@@ -21,7 +21,6 @@ from braidjones.cli import (
     CSV_COLUMNS,
     SweepRecord,
     _check_records,
-    default_grid,
     emit_csv,
     main,
     preset,
@@ -30,12 +29,18 @@ from braidjones.cli import (
 from braidjones.nmr import MeasurementPrecision
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the sweep command's default grid: 0..30 degrees in 1-degree steps
+DEFAULT_GRID = [float(k) for k in range(31)]
 
 
 def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def _no_gridpoint(*args):
+    raise AssertionError("a gridpoint was evaluated")
 
 
 def run_cli(*args, stdout=subprocess.PIPE):
@@ -62,7 +67,7 @@ def test_presets():
 
 
 def test_run_sweep_exact_mode():
-    records = run_sweep(preset("trefoil"), default_grid(), with_oracle=True)
+    records = run_sweep(preset("trefoil"), DEFAULT_GRID, with_oracle=True)
     assert len(records) == 31
     for r in records:
         assert abs(r.trace_exact - r.trace_nmr) <= 1e-10
@@ -94,15 +99,15 @@ def test_run_sweep_rejects_wrong_strand_count():
 
 def test_run_sweep_deterministic_with_noise():
     prec = MeasurementPrecision(epsilon=1e-3, alpha1=1.0, seed=9)
-    first = run_sweep(preset("figure8"), default_grid(), prec)
-    second = run_sweep(preset("figure8"), default_grid(), prec)
+    first = run_sweep(preset("figure8"), DEFAULT_GRID, prec)
+    second = run_sweep(preset("figure8"), DEFAULT_GRID, prec)
     assert first == second
     for r in first:
         assert abs(r.trace_exact - r.trace_nmr) <= r.eq9_bound
 
 
 def test_emit_csv_shape_and_determinism():
-    records = run_sweep(preset("trefoil"), default_grid(), with_oracle=True)
+    records = run_sweep(preset("trefoil"), DEFAULT_GRID, with_oracle=True)
     buf = io.StringIO()
     emit_csv(records, buf)
     lines = buf.getvalue().splitlines()
@@ -196,8 +201,8 @@ def test_cli_sweep_end_to_end(tmp_path):
         (("--preset", "trefoil", "--theta-min-deg", "40", "--theta-max-deg", "50"),
          "error: theta = 40.0 deg is outside the admissible angle set\n"),
         (("--braid", "s1^20", "--oracle", "--theta-step-deg", "0.5"),
-         "error: --oracle: 61 gridpoints of 2^20 state-sum terms exceed "
-         "MAX_ORACLE_TERMS = 33554432\n"),
+         "error: 61 gridpoints of 20 letters plus 1048576 --oracle terms cost "
+         "63967406 letter products, over MAX_SWEEP_PRODUCTS = 10000000\n"),
     ],
     ids=("inadmissible-angle", "oracle-budget"),
 )
@@ -316,7 +321,7 @@ def test_run_sweep_builds_each_letter_image_once_per_point(monkeypatch):
         return original(g, params)
 
     monkeypatch.setattr(braidjones.tlrep, "rho_generator", counting)
-    run_sweep(preset("borromean"), default_grid())
+    run_sweep(preset("borromean"), DEFAULT_GRID)
     # two distinct letters (s1, s2^-1) at each of the 31 angles
     assert calls == 2 * 31
 
@@ -331,7 +336,7 @@ def test_run_sweep_builds_one_generator_pair_per_point(monkeypatch):
         return original(delta)
 
     monkeypatch.setattr(braidjones.tlrep, "tl_generators", counting)
-    run_sweep(preset("borromean"), default_grid())
+    run_sweep(preset("borromean"), DEFAULT_GRID)
     # ReprParams builds (U1, U2) once; both letter images read that pair
     assert calls == 31
 
@@ -378,11 +383,54 @@ def test_cli_sweep_rejects_non_finite_input(flags, named, capsys):
 
 def test_cli_sweep_caps_the_grid(capsys, monkeypatch):
     assert main(["sweep", "--preset", "trefoil", "--theta-step-deg", "1e-9"]) == 2
-    assert "more than 1000000 grid points" in capsys.readouterr().err
-    monkeypatch.setattr(braidjones.cli, "MAX_GRID_POINTS", 3)
-    assert main(["sweep", "--preset", "trefoil", "--theta-max-deg", "2"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 4
-    assert main(["sweep", "--preset", "trefoil", "--theta-max-deg", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 30000000001 gridpoints of 3 letters cost 1.59000000005e+12 letter products, "
+        "over MAX_SWEEP_PRODUCTS = 10000000\n"
+    )
+    # each trefoil gridpoint costs 3 letters + 50: 188679 points fit in 10^7, 188680 do not;
+    # every angle is 15 deg mod 360, inside an admissible interval
+    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
+    argv = ["sweep", "--preset", "trefoil", "--theta-min-deg", "15", "--theta-step-deg", "360"]
+    with pytest.raises(AssertionError, match="a gridpoint was evaluated"):
+        main([*argv, "--theta-max-deg", str(15 + 360 * 188678)])
+    assert main([*argv, "--theta-max-deg", str(15 + 360 * 188679)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 188680 gridpoints of 3 letters cost 10000040 letter products, "
+        "over MAX_SWEEP_PRODUCTS = 10000000\n"
+    )
+
+
+def test_cli_sweep_refuses_an_empty_word_over_the_budget(capsys, monkeypatch):
+    # the empty word has no letters, but each gridpoint still costs 50 products
+    start = time.perf_counter()
+    assert main(["sweep", "--braid", "", "--theta-step-deg", "0.0001"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 300001 gridpoints of 0 letters cost 15000050 letter products, "
+        "over MAX_SWEEP_PRODUCTS = 10000000\n"
+    )
+    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
+    empty = parse_braid("", 3)
+    with pytest.raises(ValueError, match="^200001 gridpoints of 0 letters cost 10000050 "):
+        run_sweep(empty, [15.0] * 200001)
+    with pytest.raises(AssertionError, match="a gridpoint was evaluated"):
+        run_sweep(empty, [15.0] * 200000)
+
+
+def test_cli_sweep_refuses_an_overflowed_grid_count(capsys):
+    # the span 2e308 overflows to inf: the count is refused before any int() of it
+    argv = ["sweep", "--preset", "trefoil", "--theta-min-deg=-1e308", "--theta-max-deg", "1e308"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: inf gridpoints of 3 letters cost inf letter products, "
+        "over MAX_SWEEP_PRODUCTS = 10000000\n"
+    )
 
 
 def test_cli_sweep_unwritable_out_is_bad_input(tmp_path):
@@ -394,10 +442,7 @@ def test_cli_sweep_unwritable_out_is_bad_input(tmp_path):
 
 
 def test_run_sweep_checks_oracle_limits_before_any_gridpoint(monkeypatch, capsys):
-    def no_gridpoint(*args):
-        raise AssertionError("a gridpoint was evaluated")
-
-    monkeypatch.setattr(braidjones.cli, "evaluate", no_gridpoint)
+    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
     with pytest.raises(ValueError, match="--oracle: the word has 21 letters; .* 20 letters"):
         run_sweep(parse_braid("s1^21", 3), [0.0], with_oracle=True)
     assert main(["sweep", "--braid", "s1^21", "--oracle"]) == 2
@@ -405,28 +450,26 @@ def test_run_sweep_checks_oracle_limits_before_any_gridpoint(monkeypatch, capsys
 
 
 def test_run_sweep_bounds_the_oracle_cost_before_any_gridpoint(monkeypatch, capsys):
-    def no_gridpoint(*args):
-        raise AssertionError("a gridpoint was evaluated")
-
-    monkeypatch.setattr(braidjones.cli, "evaluate", no_gridpoint)
+    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
     word = parse_braid("s1 s2^-1 " * 10, 3)
-    # 33 * 2^20 state-sum terms exceed 2^25; 32 * 2^20 reach the first gridpoint
-    with pytest.raises(ValueError, match="--oracle: 33 gridpoints of 2\\^20 .* 33554432"):
-        run_sweep(word, [0.5 * k for k in range(33)], with_oracle=True)
+    # each gridpoint costs 20 letters + 50 + 2^20 state-sum terms = 1048646 products:
+    # 10 points exceed 10^7, 9 reach the first gridpoint
+    with pytest.raises(ValueError, match="^10 gridpoints of 20 letters plus 1048576 --oracle terms"):
+        run_sweep(word, [0.5 * k for k in range(10)], with_oracle=True)
     with pytest.raises(AssertionError, match="a gridpoint was evaluated"):
-        run_sweep(word, [0.5 * k for k in range(32)], with_oracle=True)
-    argv = ["sweep", "--braid", "s1 s2^-1 " * 10, "--oracle", "--theta-max-deg", "16",
+        run_sweep(word, [0.5 * k for k in range(9)], with_oracle=True)
+    argv = ["sweep", "--braid", "s1 s2^-1 " * 10, "--oracle", "--theta-max-deg", "4.5",
             "--theta-step-deg", "0.5"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --oracle: 33 gridpoints") and err.count("\n") == 1
+    assert err == (
+        "error: 10 gridpoints of 20 letters plus 1048576 --oracle terms cost 10486460 "
+        "letter products, over MAX_SWEEP_PRODUCTS = 10000000\n"
+    )
 
 
 def test_run_sweep_names_alpha1_when_the_calibration_vanishes(monkeypatch):
-    def no_gridpoint(*args):
-        raise AssertionError("a gridpoint was evaluated")
-
-    monkeypatch.setattr(braidjones.cli, "evaluate", no_gridpoint)
+    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
     for epsilon in (0.0, 1e-3):
         prec = MeasurementPrecision(epsilon=epsilon, alpha1=1e-300)
         with pytest.raises(ValueError) as exc:
@@ -596,20 +639,24 @@ def test_cli_sweep_refuses_a_sweep_over_the_product_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: 300001 gridpoints of 3000 letters are 900003000 letter products, "
+        "error: 300001 gridpoints of 3000 letters cost 915003050 letter products, "
         "over MAX_SWEEP_PRODUCTS = 10000000\n"
     )
 
 
 def test_cli_sweep_runs_a_sweep_at_the_product_cap(capsys, monkeypatch):
-    # the trefoil preset has 3 letters; the default grid has 31 points
-    monkeypatch.setattr(braidjones.cli, "MAX_SWEEP_PRODUCTS", 93)
+    # the trefoil preset has 3 letters, so a gridpoint costs 53; the default grid has 31 points
+    monkeypatch.setattr(braidjones.cli, "MAX_SWEEP_PRODUCTS", 31 * 53)
     assert main(["sweep", "--preset", "trefoil"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 32
     assert main(["sweep", "--preset", "trefoil", "--theta-max-deg", "31"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: 32 gridpoints of 3 letters are 96 letter products")
+    assert captured.err == (
+        "error: 32 gridpoints of 3 letters cost 1696 letter products, "
+        "over MAX_SWEEP_PRODUCTS = 1643\n"
+    )
+
 
 def _record(deg, bracket, oracle):
     (record,) = run_sweep(preset("trefoil"), [deg], with_oracle=True)
@@ -648,10 +695,7 @@ def test_cli_sweep_refuses_bad_precision_input(flags, named, capsys):
 
 
 def test_run_sweep_refuses_an_infinite_error_bound_before_any_gridpoint(monkeypatch):
-    def no_gridpoint(*args):
-        raise AssertionError("a gridpoint was evaluated")
-
-    monkeypatch.setattr(braidjones.cli, "evaluate", no_gridpoint)
+    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
     prec = MeasurementPrecision(epsilon=5e307)
     with pytest.raises(ValueError, match="--epsilon 5e\\+307 .* non-finite eq9_bound"):
         run_sweep(preset("trefoil"), [0.0], prec)

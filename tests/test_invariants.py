@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import braidjones.invariants
 from braidjones.braid import BraidGenerator, BraidWord, concat, exponent_sum, invert, parse_braid
+from braidjones.cli import _check_sweep_cost
 from braidjones.invariants import (
     TLDiagram,
     bracket_state_sum,
@@ -18,7 +19,7 @@ from braidjones.invariants import (
     evaluate,
     identity_diagram,
 )
-from braidjones.tlrep import ReprParams, rho_word
+from braidjones.tlrep import ADMISSIBLE_INTERVALS, ReprParams, rho_word
 
 GRID_DEG = range(31)
 
@@ -201,14 +202,78 @@ def test_state_sum_limits():
 
 def test_check_state_sum_size_bounds_the_terms_over_all_points():
     word = parse_braid("s1 s2^-1 " * 10, 3)
-    # 33 * 2^20 terms exceed MAX_ORACLE_TERMS = 2^25; 32 * 2^20 fit
+    # the term count is the state sum's cost at one angle; a sweep charges it per gridpoint
+    assert check_state_sum_size(word) == 2**20
+    assert check_state_sum_size(BraidWord(3)) == 1
+    # 10 * (20 letters + 50 + 2^20 terms) exceed 10^7 letter products; 9 * the same fit
     with pytest.raises(ValueError) as exc:
-        check_state_sum_size(word, 33)
+        _check_sweep_cost(word, 10, with_oracle=True)
     assert str(exc.value) == (
-        "33 gridpoints of 2^20 state-sum terms exceed MAX_ORACLE_TERMS = 33554432"
+        "10 gridpoints of 20 letters plus 1048576 --oracle terms cost 10486460 "
+        "letter products, over MAX_SWEEP_PRODUCTS = 10000000"
     )
-    check_state_sum_size(word, 32)
-    check_state_sum_size(word)
+    _check_sweep_cost(word, 9, with_oracle=True)
+
+
+# Jones' identities (Bull. AMS 12, 1985) on 3-strand words of at most 40 letters, at
+# admissible angles: they pin the sign and chirality conventions on arbitrary words
+_letter3 = st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1)))
+_admissible = st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv))
+
+
+def _jones(letters, theta):
+    return evaluate(BraidWord(3, tuple(letters)), ReprParams(theta)).jones
+
+
+@settings(deadline=None)
+@given(
+    before=st.lists(_letter3, max_size=19),
+    after=st.lists(_letter3, max_size=20),
+    index=st.sampled_from((1, 2)),
+    theta=_admissible,
+)
+def test_jones_satisfies_the_skein_relation(before, after, index, theta):
+    # t^-1 V+ - t V- = (t^1/2 - t^-1/2) V0 with t = A^-4 and t^1/2 = A^-2
+    a = ReprParams(theta).A
+    t, root_t = a**-4, a**-2
+    v_plus, v_minus, v_zero = (
+        _jones([*before, *crossing, *after], theta)
+        for crossing in ([BraidGenerator(index, 1)], [BraidGenerator(index, -1)], [])
+    )
+    assert abs(v_plus / t - t * v_minus - (root_t - 1 / root_t) * v_zero) < 1e-12
+
+
+@settings(deadline=None)
+@given(letters=st.lists(_letter3, max_size=40), theta=_admissible)
+def test_mirror_word_at_theta_is_the_word_at_minus_theta(letters, theta):
+    mirror = [BraidGenerator(g.index, -g.sign) for g in letters]
+    assert abs(_jones(mirror, theta) - _jones(letters, -theta)) < 1e-12
+
+
+@settings(deadline=None)
+@given(
+    before=st.lists(_letter3, max_size=18),
+    after=st.lists(_letter3, max_size=19),
+    sign=st.sampled_from((1, -1)),
+    theta=_admissible,
+)
+def test_jones_respects_the_braid_relation(before, after, sign, theta):
+    # s1 s2 s1 = s2 s1 s2, and the same with every letter inverted
+    s1, s2 = BraidGenerator(1, sign), BraidGenerator(2, sign)
+    left = _jones([*before, s1, s2, s1, *after], theta)
+    assert abs(left - _jones([*before, s2, s1, s2, *after], theta)) < 1e-12
+
+
+@settings(deadline=None)
+@given(
+    body=st.lists(_letter3, max_size=30),
+    outer=st.lists(_letter3, min_size=1, max_size=5),
+    theta=_admissible,
+)
+def test_jones_is_conjugation_invariant(body, outer, theta):
+    b, g = BraidWord(3, tuple(body)), BraidWord(3, tuple(outer))
+    conjugated = concat(concat(g, b), invert(g))
+    assert abs(_jones(conjugated.letters, theta) - _jones(body, theta)) < 1e-12
 
 
 def test_markov_stability():

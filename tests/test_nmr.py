@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import braidjones.nmr
 from braidjones.braid import BraidGenerator, BraidWord, parse_braid
-from braidjones.cli import default_grid, preset, run_sweep
+from braidjones.cli import preset, run_sweep
 from braidjones.nmr import (
     DensityOperator,
     MeasurementPrecision,
@@ -237,7 +237,7 @@ def test_sweep_prepares_the_probe_once(monkeypatch):
 
     monkeypatch.setattr(braidjones.nmr, "prepare_rho1", counting)
     braidjones.nmr._probe.cache_clear()
-    run_sweep(preset("borromean"), default_grid())
+    run_sweep(preset("borromean"), [float(k) for k in range(31)])
     # one shared rho_1 serves the calibration and all 31 gridpoints
     assert calls == 1
     rho1, _ = braidjones.nmr._probe(1, 1.0)
