@@ -15,6 +15,7 @@ import argparse
 import cmath
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -225,8 +226,30 @@ def _check_records(
     return problems, worst
 
 
+# a negative decimal float literal, exponent or not, or a negative inf or nan: -1, -.5, -1E16
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)\Z", re.IGNORECASE
+)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that reads every negative float literal after a flag as its value.
+
+    Stock argparse knows only ``-1`` and ``-1.5`` as numbers: it takes
+    ``-1e16`` for an option and refuses ``--epsilon -1e-3`` as ``expected one
+    argument``.  Here such a value reaches the flag, so the program's own
+    check answers; an unknown flag or a missing value is refused as before.
+    The hook is argparse's ``_negative_number_matcher``, the same on Python
+    3.10 to 3.13; subparsers are built with this same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="braidjones",
         description="Jones polynomial values of 3-strand braid closures, "
         "with a simulated ensemble quantum computer in the loop.",

@@ -17,7 +17,10 @@ them once per pair and every estimate shares them; each estimate builds
 and checks its own cU and rho_2.  Noise is a seeded uniform perturbation in
 [-epsilon*Lambda, +epsilon*Lambda] per quadrature (uniform, not Gaussian,
 because the precision contract is a hard bound), so the rescaled estimate
-always satisfies |estimate - trace(U)| <= sqrt(2)*epsilon*Lambda/|c|.
+always satisfies |estimate - trace(U)| <= sqrt(2)*epsilon*Lambda/|c|.  The
+two draws are numpy's ``default_rng(seed)`` PCG64 stream, computed in this
+module with integer arithmetic, so a noisy estimate never imports
+numpy.random and its bits do not follow numpy's stream policy.
 
 rho_1 is the first-order (high-temperature) deviation form used verbatim:
 its eigenvalues are (1 -+ alpha_1/2)/N, so it is positive only for
@@ -171,18 +174,98 @@ def measure_probe(rho2: DensityOperator, prec: MeasurementPrecision) -> complex:
 
     With epsilon > 0, independent perturbations uniform in
     [-epsilon*PROBE_LAMBDA, +epsilon*PROBE_LAMBDA] are added to the real
-    and imaginary parts, drawn from a generator seeded with prec.seed, so a
-    fixed seed reproduces the measurement exactly.
+    and imaginary parts.  They are the two draws of numpy's
+    ``default_rng(prec.seed).uniform``, computed in-module by
+    ``_uniform_pair``, so a fixed seed reproduces the measurement exactly.
     """
     m = rho2.qubits
     observable = product_operator(m, 1, "x") + 1j * product_operator(m, 1, "y")
     z = complex(np.trace(observable @ rho2.matrix))
     if prec.epsilon > 0.0:
-        rng = np.random.default_rng(prec.seed)
-        bound = prec.epsilon * PROBE_LAMBDA
-        dre, dim_ = rng.uniform(-bound, bound, size=2)
-        z += complex(dre, dim_)
+        z += complex(*_uniform_pair(prec.seed, prec.epsilon * PROBE_LAMBDA))
     return z
+
+
+# numpy's SeedSequence and PCG64 constants (PCG64 is O'Neill's XSL-RR 128/64 generator,
+# "PCG: a family of simple fast space-efficient statistically good algorithms for
+# random number generation", HMC-CS-2014-0905)
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(h: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
+    """SeedSequence's first n hash steps as (xor, multiplier) pairs.
+
+    Each step's multiplier is the next step's xor: h, h*mult, h*mult^2, ... mod 2^32.
+    """
+    steps = []
+    for _ in range(n):
+        steps.append((h, h * mult & _MASK32))
+        h = steps[-1][1]
+    return tuple(steps)
+
+
+# a seed of up to four words takes 16 steps of stream A (4 to fill the pool, 12 to mix
+# each pool word into each other one, in _POOL_MIX's order); generate_state takes 8 of B
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+_POOL_MIX = tuple(
+    (src, dst) + _HASH_A[4 + k]
+    for k, (src, dst) in enumerate((s, d) for s in range(4) for d in range(4) if s != d)
+)
+
+
+def _uniform_pair(seed: int, bound: float) -> tuple[float, float]:
+    """numpy's ``default_rng(seed).uniform(-bound, bound, size=2)``, bit for bit.
+
+    SeedSequence hashes the seed's little-endian uint32 words into a pool of
+    four and mixes it; generate_state(4, uint64) expands the pool into
+    PCG64's 128-bit state and increment; each draw scales the top 53 bits of
+    one XSL-RR output.  The work is integer arithmetic, so no platform or
+    BLAS choice moves a bit, and numpy.random is never imported.
+    """
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    pool = []
+    for w, (x, m) in zip(words + [0, 0, 0], _HASH_A[:4]):
+        v = (w ^ x) * m & _MASK32
+        pool.append(v ^ v >> 16)
+    for src, dst, x, m in _POOL_MIX:
+        v = (pool[src] ^ x) * m & _MASK32
+        v = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        pool[dst] = v ^ v >> 16
+    # words past the fourth are hashed into every pool word, continuing stream A
+    h = _HASH_A[-1][1]
+    for w in words[4:]:
+        for dst in range(4):
+            v = w ^ h
+            h = h * _MULT_A & _MASK32
+            v = v * h & _MASK32
+            v = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+            pool[dst] = v ^ v >> 16
+    state = []
+    for p, (x, m) in zip(pool + pool, _HASH_B):
+        v = (p ^ x) * m & _MASK32
+        state.append(v ^ v >> 16)
+    # uint32 pairs are little-endian uint64s: the first two make initstate, the last two initseq
+    s0, s1, s2, s3, s4, s5, s6, s7 = state
+    inc = (s5 << 96 | s4 << 64 | s7 << 32 | s6) << 1 & _MASK128 | 1
+    # seeding: state 0, step, add initstate, step
+    x = (inc + (s1 << 96 | s0 << 64 | s3 << 32 | s2)) * _PCG64_MULT + inc & _MASK128
+    draws = []
+    for _ in range(2):
+        x = x * _PCG64_MULT + inc & _MASK128
+        value = (x >> 64 ^ x) & _MASK64
+        rot = x >> 122
+        value = (value >> rot | value << (64 - rot)) & _MASK64
+        draws.append(-bound + (bound - -bound) * ((value >> 11) * 2.0**-53))
+    return draws[0], draws[1]
 
 
 @lru_cache(maxsize=None)

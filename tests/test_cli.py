@@ -295,6 +295,88 @@ def test_cli_gate_commands_take_the_domain_pulses_takes(deg, status, capsys):
     assert (capsys.readouterr().err == "") == (status == 0)
 
 
+# each command with its required flags; a flag given again later wins
+BASE_ARGV = {
+    "sweep": ["sweep", "--preset", "trefoil"],
+    "angles": ["angles", "--theta-deg", "15", "--which", "1"],
+    "compile": ["compile", "--theta-deg", "15", "--which", "1"],
+}
+
+
+def _float_flags():
+    (commands,) = (
+        a.choices for a in braidjones.cli.build_parser()._actions if a.choices is not None
+    )
+    return [
+        (name, flag)
+        for name, sub in commands.items()
+        for a in sub._actions
+        if a.type is float
+        for flag in a.option_strings
+    ]
+
+
+def test_float_flag_discovery_finds_every_float_flag():
+    assert _float_flags() == [
+        ("sweep", flag)
+        for flag in ("--theta-min-deg", "--theta-max-deg", "--theta-step-deg",
+                     "--epsilon", "--alpha1", "--oracle-tol")
+    ] + [("angles", "--theta-deg"), ("compile", "--theta-deg")]
+
+
+@pytest.mark.parametrize("command, flag", _float_flags())
+@pytest.mark.parametrize("value", ("-1e16", "-1E-5", "-.5e3", "-2.5", "-inf"))
+def test_every_float_flag_takes_a_negative_float_in_any_notation(command, flag, value):
+    args = braidjones.cli.build_parser().parse_args([*BASE_ARGV[command], flag, value])
+    assert getattr(args, flag[2:].replace("-", "_")) == float(value)
+
+
+@pytest.mark.parametrize(
+    "argv, status, err",
+    [
+        (["--theta-min-deg", "-1e-9", "--theta-max-deg", "2", "--epsilon", "1e-3"], 0,
+         "3 gridpoints, 0 violations\n"),
+        (["--theta-min-deg", "-1e16"], 2,
+         "error: 1e+16 gridpoints of 3 letters cost 5.3e+17 letter products, "
+         "over MAX_SWEEP_PRODUCTS = 10000000\n"),
+        (["--theta-max-deg", "-1e-3"], 2,
+         "error: --theta-max-deg -0.001 is below --theta-min-deg 0.0\n"),
+        (["--theta-step-deg", "-1e-3"], 2, "error: --theta-step-deg must be positive, got -0.001\n"),
+        (["--epsilon", "-1e-3"], 2,
+         "error: --epsilon must be finite and non-negative, got -0.001\n"),
+        (["--alpha1", "-1e-3"], 2, "error: --alpha1 must be finite and positive, got -0.001\n"),
+        (["--oracle-tol", "-1e-3"], 2, "error: --oracle-tol must be positive\n"),
+    ],
+)
+def test_cli_sweep_answers_a_negative_float_itself(argv, status, err, capsys):
+    assert main([*BASE_ARGV["sweep"], *argv]) == status
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert (captured.out == "") == (status == 2)
+
+
+@pytest.mark.parametrize("command", ("angles", "compile"))
+def test_cli_gate_commands_answer_a_negative_float_themselves(command, capsys):
+    assert main([*BASE_ARGV[command], "--theta-deg", "-1e-5"]) == 2
+    assert capsys.readouterr() == ("", "error: --theta-deg must lie in [0, 30], got -1e-05\n")
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["--theta-min-deg", "--oracle"], "argument --theta-min-deg: expected one argument"),
+        (["--epsilon"], "argument --epsilon: expected one argument"),
+        (["--bogus", "-1e16"], "unrecognized arguments: --bogus -1e16"),
+        (["-1e16"], "unrecognized arguments: -1e16"),
+    ],
+)
+def test_cli_keeps_argparse_refusals(argv, refusal, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*BASE_ARGV["sweep"], *argv])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {refusal}")
+
+
 def test_cli_rejects_inadmissible_sweep():
     result = run_cli("sweep", "--preset", "trefoil", "--theta-max-deg", "45")
     assert result.returncode == 2

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import braidjones.nmr
@@ -99,6 +99,19 @@ def test_measure_probe_reproducible_and_bounded():
     assert abs(noisy.real - clean.real) <= 1e-2
     assert abs(noisy.imag - clean.imag) <= 1e-2
     assert noisy != clean
+
+
+@given(
+    seed=st.integers(0, 2**200),
+    bound=st.sampled_from((5e-324, 1e-3, 5e307)) | st.floats(5e-324, 8e307),
+)
+@example(seed=2**200, bound=5e-324)
+@example(seed=0, bound=8e307)
+def test_noise_draws_are_numpys_default_rng_bit_for_bit(seed, bound):
+    # seeds past 2**128 have more than four uint32 words, past SeedSequence's pool
+    drawn = braidjones.nmr._uniform_pair(seed, bound)
+    expected = np.random.default_rng(seed).uniform(-bound, bound, size=2)
+    assert [d.hex() for d in drawn] == [float(e).hex() for e in expected]
 
 
 def test_estimate_trace_exact_cases():

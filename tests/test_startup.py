@@ -67,6 +67,19 @@ def test_launcher_sets_single_threaded_blas_unless_the_user_did(env, threads):
     assert last == f"0 [{threads!r}] {threads}"
 
 
+def test_a_noisy_sweep_loads_numpy_random_only_if_numpy_does():
+    # numpy before 2 imports numpy.random with numpy itself; numpy 2 imports it lazily
+    numpy_loads_it = _python("import sys, numpy\nprint('numpy.random' in sys.modules)")
+    last = _python(
+        "import contextlib, io, sys\n"
+        "from braidjones.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['sweep', '--preset', 'trefoil', '--epsilon', '1e-3'])\n"
+        "print(status, 'numpy.random' in sys.modules)"
+    )
+    assert last in ("0 False", f"0 {numpy_loads_it}")
+
+
 def test_importing_cli_leaves_the_environment_alone():
     last = _python(
         "import os, sys\n"
