@@ -58,7 +58,8 @@ CSV_COLUMNS = (
 )
 
 _EXACT_TRACE_TOL = 1e-10
-_DEFAULT_ORACLE_TOL = 1e-9
+# largest |bracket - oracle| a sweep row passes
+ORACLE_TOL = 1e-9
 
 # largest cost a sweep accepts, in letter products (one 2x2 product per letter per
 # gridpoint); at about 2 us a product, some 20 s of work
@@ -192,16 +193,14 @@ def emit_csv(records: list[SweepRecord], destination) -> None:
         destination.write(",".join(map(_cells, vars(r).values())) + "\n")
 
 
-def _check_records(
-    records: list[SweepRecord], oracle_tol: float
-) -> tuple[list[str], tuple[float, float] | None]:
+def _check_records(records: list[SweepRecord]) -> tuple[list[str], tuple[float, float] | None]:
     """Violated gates, one message each, and the worst |bracket - oracle| with its angle.
 
-    Each row's trace estimate is held to its own ``eq9_bound``; a bound of
-    0 (epsilon 0, or a bound that underflows) means an exact estimate, held
-    to _EXACT_TRACE_TOL.  NaN fails every gate and counts as the largest
-    gap, a tie goes to the first angle, and without an oracle the worst is
-    None.
+    Each row's oracle gap is held to ORACLE_TOL and its trace estimate to its
+    own ``eq9_bound``; a bound of 0 (epsilon 0, or a bound that underflows)
+    means an exact estimate, held to _EXACT_TRACE_TOL.  NaN fails every gate
+    and counts as the largest gap, a tie goes to the first angle, and without
+    an oracle the worst is None.
     """
     problems = []
     gaps = []
@@ -211,9 +210,9 @@ def _check_records(
             problems.append(f"theta={r.theta_deg} deg: non-finite {', '.join(bad)}")
         if r.bracket_oracle is not None:
             gap = abs(r.bracket - r.bracket_oracle)
-            if not gap <= oracle_tol:
+            if not gap <= ORACLE_TOL:
                 problems.append(
-                    f"theta={r.theta_deg} deg: |bracket - oracle| = {gap:.3e} > {oracle_tol:.3e}"
+                    f"theta={r.theta_deg} deg: |bracket - oracle| = {gap:.3e} > {ORACLE_TOL:.3e}"
                 )
             gaps.append((gap, r.theta_deg))
         drift = abs(r.trace_exact - r.trace_nmr)
@@ -233,19 +232,25 @@ _NEGATIVE_NUMBER = re.compile(
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that reads every negative float literal after a flag as its value.
+    """argparse that reads every negative float literal after a flag as its value
+    and raises its refusals as ValueError.
 
     Stock argparse knows only ``-1`` and ``-1.5`` as numbers: it takes
     ``-1e16`` for an option and refuses ``--epsilon -1e-3`` as ``expected one
     argument``.  Here such a value reaches the flag, so the program's own
-    check answers; an unknown flag or a missing value is refused as before.
-    The hook is argparse's ``_negative_number_matcher``, the same on Python
-    3.10 to 3.13; subparsers are built with this same class.
+    check answers; an unknown flag or a missing value is refused as before,
+    but as a ValueError that ``main`` prints as one ``error:`` line, with no
+    usage block.  ``--help`` still exits through SystemExit.  The hook is
+    argparse's ``_negative_number_matcher``, the same on Python 3.10 to 3.13;
+    subparsers are built with this same class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,12 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0, help="noise seed")
     sweep.add_argument("--oracle", action="store_true", help="run the state-sum cross-check")
     sweep.add_argument("--out", help="CSV path (default: stdout)")
-    sweep.add_argument(
-        "--oracle-tol",
-        type=float,
-        default=_DEFAULT_ORACLE_TOL,
-        help="tolerance for |bracket - oracle| (test hook; default 1e-9)",
-    )
 
     angles = sub.add_parser("angles", help="print the pulse angles alpha, beta, gamma")
     angles.add_argument("--theta-deg", type=float, required=True)
@@ -296,11 +295,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         braid = preset(args.preset) if args.preset else parse_braid(args.braid, 3)
     except BraidParseError as exc:
         raise ValueError(f"--braid: {exc}") from None
-    for flag in ("theta_min_deg", "theta_max_deg", "theta_step_deg", "oracle_tol"):
+    for flag in ("theta_min_deg", "theta_max_deg", "theta_step_deg"):
         if not math.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite")
-    if args.oracle_tol <= 0.0:
-        raise ValueError("--oracle-tol must be positive")
     try:
         prec = MeasurementPrecision(epsilon=args.epsilon, alpha1=args.alpha1, seed=args.seed)
     except ValueError as exc:
@@ -316,7 +313,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # int() refuses an overflowed (inf) count; each gridpoint costs at least one
     # product, so a count over the budget is refused as the float it is
     points = int(steps) + 1 if steps < MAX_SWEEP_PRODUCTS else steps + 1
-    _check_sweep_cost(braid, points, args.oracle)
+    try:
+        _check_sweep_cost(braid, points, args.oracle)
+    except ValueError as exc:
+        # an --oracle word refusal already names its flag; the budget refusal gets the grid's
+        if str(exc).startswith("--"):
+            raise
+        raise ValueError(f"--theta-min-deg/--theta-max-deg/--theta-step-deg: {exc}") from None
     grid = [lo + k * step for k in range(points)]
     # a refused sweep raises here, before --out is opened, so it leaves the file as it was
     records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
@@ -329,7 +332,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with destination as out:
         emit_csv(records, out)
         out.flush()
-    problems, worst = _check_records(records, args.oracle_tol)
+    problems, worst = _check_records(records)
     for p in problems:
         print(f"FAIL {p}", file=sys.stderr)
     summary = f"{len(records)} gridpoints, {len(problems)} violations"
@@ -369,14 +372,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"sweep": _cmd_sweep, "angles": _cmd_angles, "compile": _cmd_compile}
     try:
+        args = build_parser().parse_args(argv)
         status = handlers[args.command](args)
         sys.stdout.flush()
         return status
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even when a refused token or --out path holds a line break
+        print("error:", str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
     except OSError as exc:
         # only output raises OSError here: an --out path that cannot be opened is a ValueError

@@ -234,10 +234,16 @@ def test_criterion_9_cli_end_to_end(tmp_path):
         second = subprocess.run(args, capture_output=True, text=True, env=env)
         assert second.returncode == 0
         assert out.read_bytes() == payload
-        corrupted = subprocess.run(
-            args + ["--oracle-tol", "1e-30"], capture_output=True, text=True, env=env
+        # the same sweep with the oracle gate cli.ORACLE_TOL tightened to 1e-30
+        corrupt = (
+            "import sys, braidjones.cli as cli; "
+            "cli.ORACLE_TOL = 1e-30; sys.exit(cli.main(sys.argv[1:]))"
         )
-        assert corrupted.returncode != 0
+        corrupted = subprocess.run(
+            [sys.executable, "-c", corrupt, *args[3:]], capture_output=True, text=True, env=env
+        )
+        assert corrupted.returncode == 1, corrupted.stderr
+        assert "FAIL" in corrupted.stderr
 
 
 def test_criterion_10_published_jones_polynomials():

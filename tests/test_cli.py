@@ -53,6 +53,21 @@ def run_cli(*args, stdout=subprocess.PIPE):
     )
 
 
+def run_cli_with_oracle_tol(oracle_tol, *args):
+    """The CLI in a fresh process whose oracle gate is ``cli.ORACLE_TOL = oracle_tol``."""
+    code = (
+        "import sys, braidjones.cli as cli; "
+        f"cli.ORACLE_TOL = {oracle_tol!r}; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=_cli_env()
+    )
+
+
+# the CLI names the grid's flags in front of the budget refusal
+GRID_FLAGS = "--theta-min-deg/--theta-max-deg/--theta-step-deg: "
+
+
 def test_presets():
     trefoil = preset("trefoil")
     assert len(trefoil.letters) == 3
@@ -201,7 +216,7 @@ def test_cli_sweep_end_to_end(tmp_path):
         (("--preset", "trefoil", "--theta-min-deg", "40", "--theta-max-deg", "50"),
          "error: theta = 40.0 deg is outside the admissible angle set\n"),
         (("--braid", "s1^20", "--oracle", "--theta-step-deg", "0.5"),
-         "error: 61 gridpoints of 20 letters plus 1048576 --oracle terms cost "
+         f"error: {GRID_FLAGS}61 gridpoints of 20 letters plus 1048576 --oracle terms cost "
          "63967406 letter products, over MAX_SWEEP_PRODUCTS = 10000000\n"),
     ],
     ids=("inadmissible-angle", "oracle-budget"),
@@ -214,14 +229,14 @@ def test_cli_refused_sweep_leaves_out_untouched(tmp_path, capsys, flags, refusal
     assert out.read_bytes() == b"prior bytes\n"
 
 
-def test_cli_sweep_corrupted_tolerance_fails(tmp_path):
+def test_cli_sweep_corrupted_tolerance_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(braidjones.cli, "ORACLE_TOL", 1e-30)
     out = tmp_path / "sweep.csv"
-    result = run_cli(
-        "sweep", "--preset", "trefoil", "--oracle", "--epsilon", "0",
-        "--oracle-tol", "1e-30", "--out", str(out),
-    )
-    assert result.returncode == 1
-    assert "FAIL" in result.stderr
+    argv = ["sweep", "--preset", "trefoil", "--oracle", "--epsilon", "0", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "FAIL" in err and "> 1.000e-30" in err
+    assert len(out.read_bytes().splitlines()) == 32
 
 
 def test_cli_sweep_noise_deterministic(tmp_path):
@@ -320,7 +335,7 @@ def test_float_flag_discovery_finds_every_float_flag():
     assert _float_flags() == [
         ("sweep", flag)
         for flag in ("--theta-min-deg", "--theta-max-deg", "--theta-step-deg",
-                     "--epsilon", "--alpha1", "--oracle-tol")
+                     "--epsilon", "--alpha1")
     ] + [("angles", "--theta-deg"), ("compile", "--theta-deg")]
 
 
@@ -337,7 +352,7 @@ def test_every_float_flag_takes_a_negative_float_in_any_notation(command, flag, 
         (["--theta-min-deg", "-1e-9", "--theta-max-deg", "2", "--epsilon", "1e-3"], 0,
          "3 gridpoints, 0 violations\n"),
         (["--theta-min-deg", "-1e16"], 2,
-         "error: 1e+16 gridpoints of 3 letters cost 5.3e+17 letter products, "
+         f"error: {GRID_FLAGS}1e+16 gridpoints of 3 letters cost 5.3e+17 letter products, "
          "over MAX_SWEEP_PRODUCTS = 10000000\n"),
         (["--theta-max-deg", "-1e-3"], 2,
          "error: --theta-max-deg -0.001 is below --theta-min-deg 0.0\n"),
@@ -345,7 +360,6 @@ def test_every_float_flag_takes_a_negative_float_in_any_notation(command, flag, 
         (["--epsilon", "-1e-3"], 2,
          "error: --epsilon must be finite and non-negative, got -0.001\n"),
         (["--alpha1", "-1e-3"], 2, "error: --alpha1 must be finite and positive, got -0.001\n"),
-        (["--oracle-tol", "-1e-3"], 2, "error: --oracle-tol must be positive\n"),
     ],
 )
 def test_cli_sweep_answers_a_negative_float_itself(argv, status, err, capsys):
@@ -371,10 +385,43 @@ def test_cli_gate_commands_answer_a_negative_float_themselves(command, capsys):
     ],
 )
 def test_cli_keeps_argparse_refusals(argv, refusal, capsys):
+    assert main([*BASE_ARGV["sweep"], *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+        (["sweep"], "one of the arguments --braid --preset is required"),
+        (["sweep", "--braid", "s1", "--preset", "trefoil"],
+         "argument --preset: not allowed with argument --braid"),
+        (["sweep", "--preset", "knot"], "argument --preset: invalid choice: 'knot' (choose from "),
+        (["sweep", "--preset", "trefoil", "--seed", "1.5"],
+         "argument --seed: invalid int value: '1.5'"),
+        (["sweep", "--preset", "trefoil", "--epsilon", "x"],
+         "argument --epsilon: invalid float value: 'x'"),
+        (["angles", "--theta-deg", "15"], "the following arguments are required: --which"),
+        (["compile", "--theta-deg", "15", "--which", "3"],
+         "argument --which: invalid choice: 3 (choose from "),
+        (["sweep", "--preset", "trefoil", "a\nb"], "unrecognized arguments: a\\nb"),
+    ],
+)
+def test_cli_refuses_every_argparse_error_on_one_line(argv, refusal, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {refusal}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", (["--help"], ["sweep", "--help"], ["compile", "-h"]))
+def test_cli_help_is_not_a_refusal(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main([*BASE_ARGV["sweep"], *argv])
-    assert exit_info.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {refusal}")
+        main(argv)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: braidjones") and captured.err == ""
 
 
 def test_cli_rejects_inadmissible_sweep():
@@ -441,16 +488,15 @@ def test_cli_sweep_parses_braid_on_three_strands(capsys):
     assert main(["sweep", "--braid", "s1 s3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "s3" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--braid", "s1", "--strands", "4"])
-    assert exc.value.code == 2
+    assert main(["sweep", "--braid", "s1", "--strands", "4"]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --strands 4\n"
 
 
 @pytest.mark.parametrize(
     "flags, named",
     [
         (("--epsilon", "nan"), "epsilon"),
-        (("--oracle", "--oracle-tol", "nan"), "--oracle-tol"),
+        (("--theta-min-deg", "-inf"), "--theta-min-deg"),
         (("--alpha1", "inf", "--epsilon", "1e-3"), "alpha1"),
         (("--epsilon", "inf"), "epsilon"),
         (("--theta-max-deg", "inf"), "--theta-max-deg"),
@@ -466,7 +512,7 @@ def test_cli_sweep_rejects_non_finite_input(flags, named, capsys):
 def test_cli_sweep_caps_the_grid(capsys, monkeypatch):
     assert main(["sweep", "--preset", "trefoil", "--theta-step-deg", "1e-9"]) == 2
     assert capsys.readouterr().err == (
-        "error: 30000000001 gridpoints of 3 letters cost 1.59000000005e+12 letter products, "
+        f"error: {GRID_FLAGS}30000000001 gridpoints of 3 letters cost 1.59000000005e+12 letter products, "
         "over MAX_SWEEP_PRODUCTS = 10000000\n"
     )
     # each trefoil gridpoint costs 3 letters + 50: 188679 points fit in 10^7, 188680 do not;
@@ -479,7 +525,7 @@ def test_cli_sweep_caps_the_grid(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: 188680 gridpoints of 3 letters cost 10000040 letter products, "
+        f"error: {GRID_FLAGS}188680 gridpoints of 3 letters cost 10000040 letter products, "
         "over MAX_SWEEP_PRODUCTS = 10000000\n"
     )
 
@@ -492,7 +538,7 @@ def test_cli_sweep_refuses_an_empty_word_over_the_budget(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: 300001 gridpoints of 0 letters cost 15000050 letter products, "
+        f"error: {GRID_FLAGS}300001 gridpoints of 0 letters cost 15000050 letter products, "
         "over MAX_SWEEP_PRODUCTS = 10000000\n"
     )
     monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
@@ -510,7 +556,7 @@ def test_cli_sweep_refuses_an_overflowed_grid_count(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: inf gridpoints of 3 letters cost inf letter products, "
+        f"error: {GRID_FLAGS}inf gridpoints of 3 letters cost inf letter products, "
         "over MAX_SWEEP_PRODUCTS = 10000000\n"
     )
 
@@ -545,7 +591,7 @@ def test_run_sweep_bounds_the_oracle_cost_before_any_gridpoint(monkeypatch, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == (
-        "error: 10 gridpoints of 20 letters plus 1048576 --oracle terms cost 10486460 "
+        f"error: {GRID_FLAGS}10 gridpoints of 20 letters plus 1048576 --oracle terms cost 10486460 "
         "letter products, over MAX_SWEEP_PRODUCTS = 10000000\n"
     )
 
@@ -586,10 +632,10 @@ def test_cli_sweep_summary_reports_worst_oracle_gap(capsys):
 @pytest.mark.parametrize("name", ["trace_nmr", "eq9_bound", "bracket_oracle", "jones"])
 def test_check_records_flags_non_finite_fields(name):
     (record,) = run_sweep(preset("trefoil"), [5.0], with_oracle=True)
-    problems, _ = _check_records([record], 1e-9)
+    problems, _ = _check_records([record])
     assert problems == []
     bad = dataclasses.replace(record, **{name: math.nan})
-    problems, _ = _check_records([bad], 1e-9)
+    problems, _ = _check_records([bad])
     assert problems and any(name in p for p in problems)
 
 
@@ -627,7 +673,6 @@ def test_cli_sweep_gates_an_underflowed_bound_as_exact(capsys):
         (("--theta-step-deg", "0"), "--theta-step-deg must be positive, got 0.0"),
         (("--theta-min-deg", "10", "--theta-max-deg", "5"),
          "--theta-max-deg 5.0 is below --theta-min-deg 10.0"),
-        (("--oracle", "--oracle-tol", "0"), "--oracle-tol must be positive"),
     ],
 )
 def test_cli_sweep_refuses_an_empty_grid_or_tolerance_by_flag(flags, message, capsys):
@@ -656,19 +701,20 @@ def test_cli_stdout_matches_golden_bytes(args):
     assert digest == GOLDEN_STDOUT_SHA256[args]
 
 
-# sha256 of stderr, recorded before the gate and its summary shared one pass
+# sha256 of stderr, recorded before the gate and its summary shared one pass, with the
+# oracle tolerance each run holds (None: the CLI's own ORACLE_TOL)
 GOLDEN_STDERR_SHA256 = {
-    ("sweep", "--preset", "borromean", "--oracle", "--oracle-tol", "1e-30"):
-        (1, "c0600ff783e0c389cfc36a4b40957e3f4432d9e0b83fc5a69c33b8f37b6e6986"),
+    ("sweep", "--preset", "borromean", "--oracle"):
+        (1e-30, 1, "c0600ff783e0c389cfc36a4b40957e3f4432d9e0b83fc5a69c33b8f37b6e6986"),
     ("sweep", "--preset", "figure8", "--oracle", "--theta-max-deg", "3"):
-        (0, "92c3b1991087d4d9d23ed4a977b2fe9467336e2fe67dc01b1b5791d98e7f5ac4"),
+        (None, 0, "92c3b1991087d4d9d23ed4a977b2fe9467336e2fe67dc01b1b5791d98e7f5ac4"),
 }
 
 
 @pytest.mark.parametrize("args", list(GOLDEN_STDERR_SHA256))
 def test_cli_stderr_matches_golden_bytes(args):
-    status, expected = GOLDEN_STDERR_SHA256[args]
-    result = run_cli(*args)
+    oracle_tol, status, expected = GOLDEN_STDERR_SHA256[args]
+    result = run_cli(*args) if oracle_tol is None else run_cli_with_oracle_tol(oracle_tol, *args)
     assert result.returncode == status, result.stderr
     assert hashlib.sha256(result.stderr.encode("ascii")).hexdigest() == expected
 
@@ -721,7 +767,7 @@ def test_cli_sweep_refuses_a_sweep_over_the_product_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: 300001 gridpoints of 3000 letters cost 915003050 letter products, "
+        f"error: {GRID_FLAGS}300001 gridpoints of 3000 letters cost 915003050 letter products, "
         "over MAX_SWEEP_PRODUCTS = 10000000\n"
     )
 
@@ -735,7 +781,7 @@ def test_cli_sweep_runs_a_sweep_at_the_product_cap(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: 32 gridpoints of 3 letters cost 1696 letter products, "
+        f"error: {GRID_FLAGS}32 gridpoints of 3 letters cost 1696 letter products, "
         "over MAX_SWEEP_PRODUCTS = 1643\n"
     )
 
@@ -748,14 +794,14 @@ def _record(deg, bracket, oracle):
 def test_check_records_reports_the_first_nan_gap_then_the_first_tied_angle():
     nan = complex(math.nan, 0.0)
     records = [_record(1.0, 0.5, 0.25), _record(2.0, nan, 0.0), _record(3.0, nan, 0.0)]
-    problems, worst = _check_records(records, 1e-9)
+    problems, worst = _check_records(records)
     gap, deg = worst
     assert math.isnan(gap) and deg == 2.0
     # the 0.25 gap, then a non-finite bracket and a NaN gap at 2 and at 3 degrees
     assert len(problems) == 5
     tied = [_record(1.0, 0.0, 0.0), _record(2.0, 1.0, 0.5), _record(3.0, 0.5, 0.0)]
-    assert _check_records(tied, 1.0)[1] == (0.5, 2.0)
-    assert _check_records(run_sweep(preset("trefoil"), [0.0]), 1e-9) == ([], None)
+    assert _check_records(tied)[1] == (0.5, 2.0)
+    assert _check_records(run_sweep(preset("trefoil"), [0.0])) == ([], None)
 
 
 @pytest.mark.parametrize(
@@ -838,3 +884,31 @@ def test_cli_sweep_into_a_closed_pipe_is_bad_input():
     proc.stderr.close()
     assert proc.wait() == 2
     assert err == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+
+
+# correct output that the gate still reports as a violation (exit 1); each case names the
+# ROADMAP item whose fix makes it pass, and strict mode then asks for its marker to go
+_ROUNDING = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4: eq9_bound leaves out float rounding"
+)
+_STATE_SUM = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: the 2^c state sum loses 1.4e-9 to rounding"
+)
+_FOUND_WORD = (
+    "s1 s2^-1 s2^-1 s2 s2 s2 s1^-1 s2^-1 s1 s1 s2^-1 s2 s2^-1 s1 s2 s1^-1 s1 s2^-1 s2^-1 s1"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--preset", "borromean", "--epsilon", "1e-300", "--alpha1", "0.3"],
+                     marks=_ROUNDING, id="tiny-epsilon"),
+        pytest.param(["--preset", "trefoil", "--alpha1", "1e308", "--epsilon", "1e-3",
+                      "--theta-max-deg", "2"], marks=_ROUNDING, id="huge-alpha1"),
+        pytest.param(["--braid", _FOUND_WORD, "--oracle", "--theta-max-deg", "1"],
+                     marks=_STATE_SUM, id="20-letter-oracle"),
+    ],
+)
+def test_cli_sweep_passes_correct_output(argv):
+    assert main(["sweep", *argv]) == 0

@@ -1,0 +1,158 @@
+"""The CLI contract README states, fuzzed: ``main(argv)`` for ``sweep``, ``angles`` and
+``compile`` returns 0, 1 or 2, lets no exception escape and prints what its status promises.
+
+Inputs that hit a known defect (ROADMAP items 3 and 4: a false violation, exit 1) are kept:
+a false violation still meets the format contract.
+"""
+
+import contextlib
+import io
+import math
+
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from braidjones.cli import CSV_COLUMNS, main
+
+# signed zeros, the smallest subnormal, huge, infinite and nan values, 30 deg (the gate
+# domain's end) and its two float neighbours
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, 1e16, -1e16, 1e308, math.inf, -math.inf, math.nan,
+    30.0, math.nextafter(30.0, 0.0), math.nextafter(30.0, 60.0),
+)
+extreme = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-40.0, 40.0))
+LETTERS = ("s1", "s2", "s1^-1", "s2^-1")
+# tokens the parser refuses: bad index, bad exponent, a stray symbol, a power over the cap
+MALFORMED = ("s0", "s3", "s1^", "x", "s^2", "s1^1000000000000", "s1s2")
+# a stray last argument: an unknown flag, a flag with no value, a bare negative float, a
+# word, a line break
+STRAY = ("--bogus", "--oracle-tol", "--epsilon", "--theta-deg", "-1e16", "s1", "a\nb")
+
+
+def mostly(typical, rare=extreme):
+    """``typical`` seven times in eight, else ``rare``."""
+    return st.integers(0, 7).flatmap(lambda k: typical if k else rare)
+
+
+def _value(x):
+    # exact notations a user may type: repr, or scientific in either case (stock argparse
+    # takes a negative one for an option)
+    return st.sampled_from((repr(x), f"{x:.17e}", f"{x:.17E}"))
+
+
+@st.composite
+def grid_flags(draw):
+    """Flags that bound the grid by construction: at most 20 gridpoints, or a grid the
+    budget refuses before any gridpoint runs.
+
+    Either the step is (max - min) / k for k <= 19, which the CLI divides back to k and so
+    gives k + 1 <= 20 points (or a step it refuses: zero, negative or not finite), or the
+    maximum is min + n * step for n >= 10^6, which rounding can collapse to one point but
+    otherwise leaves more than n / 2 points of at least 50 letter products each, over
+    MAX_SWEEP_PRODUCTS = 10^7.
+    """
+    lo = draw(mostly(st.floats(0.0, 30.0)))
+    if draw(st.integers(0, 4)):
+        hi = draw(mostly(st.floats(lo, 30.0)) if 0.0 <= lo <= 30.0 else extreme)
+        # an empty span is one point at any step
+        step = (hi - lo) / draw(st.integers(1, 19)) or draw(mostly(st.floats(1e-3, 1.0)))
+    else:
+        step = draw(mostly(st.floats(1e-3, 1.0)))
+        hi = lo + draw(st.sampled_from((10**6, 10**9, 10**16))) * step
+    return [
+        arg
+        for flag, x in (("--theta-min-deg", lo), ("--theta-max-deg", hi), ("--theta-step-deg", step))
+        for arg in (flag, draw(_value(x)))
+    ]
+
+
+@st.composite
+def sweep_argv(draw):
+    argv = ["sweep"]
+    source = draw(mostly(st.sampled_from(("braid", "preset")), st.sampled_from(("both", "none"))))
+    if source in ("braid", "both"):
+        tokens = draw(st.lists(st.sampled_from(LETTERS), max_size=12))
+        if draw(st.integers(0, 7)) == 0:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(MALFORMED)))
+        argv += ["--braid", " ".join(tokens)]
+    if source in ("preset", "both"):
+        presets = st.sampled_from(("trefoil", "figure8", "borromean"))
+        argv += ["--preset", draw(mostly(presets, st.just("knot")))]
+    argv += draw(grid_flags())
+    for flag, lo, hi in (("--epsilon", 0.0, 0.01), ("--alpha1", 0.01, 2.0)):
+        if draw(st.booleans()):
+            argv += [flag, draw(_value(draw(mostly(st.floats(lo, hi)))))]
+    if draw(st.booleans()):
+        seed = draw(mostly(st.integers(0, 2**64), st.integers(-(2**64), -1)))
+        argv += ["--seed", str(seed)]
+    if draw(st.booleans()):
+        argv.append("--oracle")
+    return argv
+
+
+@st.composite
+def gate_argv(draw):
+    argv = [draw(st.sampled_from(("angles", "compile")))]
+    if draw(st.integers(0, 15)):
+        argv += ["--theta-deg", draw(_value(draw(mostly(st.floats(0.0, 30.0)))))]
+    if draw(st.integers(0, 15)):
+        which = mostly(st.sampled_from(("1", "2")), st.sampled_from(("0", "3", "x")))
+        argv += ["--which", draw(which)]
+    if argv[0] == "compile" and draw(st.booleans()):
+        argv.append("--inverse")
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    argv=st.one_of(sweep_argv(), gate_argv()),
+    stray=mostly(st.none(), st.sampled_from(STRAY)),
+)
+# a false violation of ROADMAP item 4 (exit 1), which the draws above seldom reach
+@example(["sweep", "--preset", "trefoil", "--alpha1", "1e308", "--epsilon", "1e-3",
+          "--theta-max-deg", "2"], None)
+def test_cli_keeps_its_contract(argv, stray):
+    if stray is not None:
+        argv = [*argv, stray]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{argv[0]} exit {status}")
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert err.count("\n") == 1 and err.endswith("\n")
+        line = err[:-1]
+        assert line.startswith("error: ")
+        if line.startswith("error: unrecognized arguments: "):
+            assert line.endswith(stray.replace("\n", "\\n"))
+        else:
+            assert "--" in line or "theta = " in line
+        return
+    if argv[0] != "sweep":
+        lines = out.splitlines()
+        assert status == 0 and err == ""
+        if argv[0] == "angles":
+            assert [line.split("=")[0] for line in lines] == ["alpha", "beta", "gamma"]
+        else:
+            assert lines[-1].startswith("fidelity=")
+            assert float(lines[-1].split("=")[1]) >= 1.0 - 1e-10
+        for line in lines if argv[0] == "angles" else lines[-1:]:
+            assert math.isfinite(float(line.split("=")[1]))
+        return
+    header, *rows = out.splitlines()
+    assert header == CSV_COLUMNS
+    *fails, summary = err.splitlines()
+    assert summary.startswith(f"{len(rows)} gridpoints, {len(fails)} violations")
+    assert all(line.startswith("FAIL theta=") for line in fails)
+    assert (status == 1) == bool(fails)
+    if status == 0:
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == 20
+            # the oracle cells, 11 and 12, are blank without --oracle
+            for k, cell in enumerate(cells):
+                if k in (11, 12) and "--oracle" not in argv:
+                    assert cell == ""
+                else:
+                    assert math.isfinite(float(cell))
