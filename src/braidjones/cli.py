@@ -7,6 +7,12 @@ braid, grid, epsilon and seed.  The command exits 1 when any row violates
 the oracle tolerance or the measurement error bound or holds a non-finite
 value, and 2 on bad input or when the output cannot be written, so it can
 serve as a CI acceptance gate.
+
+The numerical layers are bound as the package's lazy submodules, which run
+on first use.  So ``--help``, argparse's refusals, ``--braid`` parse
+refusals and non-finite ``--theta-*`` refusals load no numpy; a command
+that computes, or a check that lives in ``nmr``, ``tlrep`` or ``pulses``,
+loads it in its handler, after the launcher has set the BLAS threading.
 """
 
 from __future__ import annotations
@@ -20,19 +26,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
+from . import invariants, nmr, pulses, tlrep
 from .braid import BraidParseError, BraidWord, parse_braid
-from .invariants import bracket_state_sum, check_state_sum_size, evaluate
-from .nmr import MeasurementPrecision, controlled_u, estimate_trace, trace_error_bound
-from .pulses import (
-    GATE_THETA_MAX,
-    check_gate_theta,
-    compile_controlled_s,
-    format_program,
-    gate_block,
-    pulse_angles,
-    verify_program,
-)
-from .tlrep import ReprParams, is_admissible
 
 __all__ = [
     "SweepRecord",
@@ -106,7 +101,7 @@ def _check_sweep_cost(b: BraidWord, points: float, with_oracle: bool) -> None:
     terms = 0
     if with_oracle:
         try:
-            terms = check_state_sum_size(b)
+            terms = invariants.check_state_sum_size(b)
         except ValueError as exc:
             raise ValueError(f"--oracle: {exc}") from None
     cost = points * (len(b) + _POINT_PRODUCTS + terms)
@@ -121,13 +116,15 @@ def _check_sweep_cost(b: BraidWord, points: float, with_oracle: bool) -> None:
 def run_sweep(
     b: BraidWord,
     thetas_deg: list[float],
-    prec: MeasurementPrecision = MeasurementPrecision(),
+    prec: nmr.MeasurementPrecision | None = None,
     with_oracle: bool = False,
 ) -> list[SweepRecord]:
     """One record per grid angle, in grid order; deterministic for a fixed seed.
 
-    Gridpoints are evaluated serially in input order; the point at index k
-    perturbs its trace estimate with seed prec.seed + k.  Every angle must
+    ``prec`` None means ``nmr.MeasurementPrecision()``: an exact readout,
+    built at call time so that importing cli loads no numpy.  Gridpoints
+    are evaluated serially in input order; the point at index k perturbs
+    its trace estimate with seed prec.seed + k.  Every angle must
     be admissible, the word must have three strands, the sweep must pass
     ``_check_sweep_cost`` (with the oracle, that includes the word checks of
     ``check_state_sum_size``), the calibration constant must not vanish and
@@ -139,21 +136,23 @@ def run_sweep(
     grid = [(deg, math.radians(deg)) for deg in map(float, thetas_deg)]
     _check_sweep_cost(b, len(grid), with_oracle)
     for deg, theta in grid:
-        if not is_admissible(theta):
+        if not tlrep.is_admissible(theta):
             raise ValueError(f"theta = {deg} deg is outside the admissible angle set")
+    if prec is None:
+        prec = nmr.MeasurementPrecision()
     # rho(b) is 2x2 on three strands; the bound does not depend on the seed
     try:
-        bound = trace_error_bound(2, prec)
+        bound = nmr.trace_error_bound(2, prec)
     except ValueError as exc:
         # each refusal starts with the refused field, epsilon or alpha1: the flag's name
         raise ValueError(f"--{exc}") from None
     records = []
     for idx, (deg, theta) in enumerate(grid):
         try:
-            params = ReprParams.from_theta(theta)
-            values = evaluate(b, params)
-            trace_nmr = estimate_trace(values.unitary, replace(prec, seed=prec.seed + idx))
-            oracle = bracket_state_sum(b, params.A) if with_oracle else None
+            params = tlrep.ReprParams.from_theta(theta)
+            values = invariants.evaluate(b, params)
+            trace_nmr = nmr.estimate_trace(values.unitary, replace(prec, seed=prec.seed + idx))
+            oracle = invariants.bracket_state_sum(b, params.A) if with_oracle else None
         except ValueError as exc:
             raise ValueError(f"theta = {deg} deg: {exc}") from None
         records.append(SweepRecord(
@@ -299,7 +298,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not math.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite")
     try:
-        prec = MeasurementPrecision(epsilon=args.epsilon, alpha1=args.alpha1, seed=args.seed)
+        prec = nmr.MeasurementPrecision(epsilon=args.epsilon, alpha1=args.alpha1, seed=args.seed)
     except ValueError as exc:
         # each message starts with the refused field, which is also the flag's name
         raise ValueError(f"--{exc}") from None
@@ -347,15 +346,15 @@ def _gate_theta(deg: float) -> float:
     """``--theta-deg`` in radians; ``pulses`` decides the domain, the refusal names the flag."""
     theta = math.radians(deg)
     try:
-        check_gate_theta(theta)
+        pulses.check_gate_theta(theta)
     except ValueError:
-        bound = math.degrees(GATE_THETA_MAX)
+        bound = math.degrees(pulses.GATE_THETA_MAX)
         raise ValueError(f"--theta-deg must lie in [0, {bound:g}], got {deg!r}") from None
     return theta
 
 
 def _cmd_angles(args: argparse.Namespace) -> int:
-    alpha, beta, gamma = pulse_angles(_gate_theta(args.theta_deg), args.which)
+    alpha, beta, gamma = pulses.pulse_angles(_gate_theta(args.theta_deg), args.which)
     print(f"alpha={alpha!r}")
     print(f"beta={beta!r}")
     print(f"gamma={gamma!r}")
@@ -364,9 +363,10 @@ def _cmd_angles(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     theta = _gate_theta(args.theta_deg)
-    program = compile_controlled_s(args.which, theta, inverse=args.inverse)
-    fidelity = verify_program(program, controlled_u(gate_block(args.which, theta, args.inverse)))
-    print(format_program(program))
+    program = pulses.compile_controlled_s(args.which, theta, inverse=args.inverse)
+    block = pulses.gate_block(args.which, theta, args.inverse)
+    fidelity = pulses.verify_program(program, nmr.controlled_u(block))
+    print(pulses.format_program(program))
     print(f"fidelity={fidelity!r}")
     return 0
 

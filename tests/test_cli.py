@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import braidjones.cli
+import braidjones.invariants
 import braidjones.tlrep
 from braidjones.braid import parse_braid
 from braidjones.cli import (
@@ -517,7 +518,7 @@ def test_cli_sweep_caps_the_grid(capsys, monkeypatch):
     )
     # each trefoil gridpoint costs 3 letters + 50: 188679 points fit in 10^7, 188680 do not;
     # every angle is 15 deg mod 360, inside an admissible interval
-    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
+    monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     argv = ["sweep", "--preset", "trefoil", "--theta-min-deg", "15", "--theta-step-deg", "360"]
     with pytest.raises(AssertionError, match="a gridpoint was evaluated"):
         main([*argv, "--theta-max-deg", str(15 + 360 * 188678)])
@@ -541,7 +542,7 @@ def test_cli_sweep_refuses_an_empty_word_over_the_budget(capsys, monkeypatch):
         f"error: {GRID_FLAGS}300001 gridpoints of 0 letters cost 15000050 letter products, "
         "over MAX_SWEEP_PRODUCTS = 10000000\n"
     )
-    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
+    monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     empty = parse_braid("", 3)
     with pytest.raises(ValueError, match="^200001 gridpoints of 0 letters cost 10000050 "):
         run_sweep(empty, [15.0] * 200001)
@@ -570,7 +571,7 @@ def test_cli_sweep_unwritable_out_is_bad_input(tmp_path):
 
 
 def test_run_sweep_checks_oracle_limits_before_any_gridpoint(monkeypatch, capsys):
-    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
+    monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     with pytest.raises(ValueError, match="--oracle: the word has 21 letters; .* 20 letters"):
         run_sweep(parse_braid("s1^21", 3), [0.0], with_oracle=True)
     assert main(["sweep", "--braid", "s1^21", "--oracle"]) == 2
@@ -578,7 +579,7 @@ def test_run_sweep_checks_oracle_limits_before_any_gridpoint(monkeypatch, capsys
 
 
 def test_run_sweep_bounds_the_oracle_cost_before_any_gridpoint(monkeypatch, capsys):
-    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
+    monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     word = parse_braid("s1 s2^-1 " * 10, 3)
     # each gridpoint costs 20 letters + 50 + 2^20 state-sum terms = 1048646 products:
     # 10 points exceed 10^7, 9 reach the first gridpoint
@@ -597,7 +598,7 @@ def test_run_sweep_bounds_the_oracle_cost_before_any_gridpoint(monkeypatch, caps
 
 
 def test_run_sweep_names_alpha1_when_the_calibration_vanishes(monkeypatch):
-    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
+    monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     for epsilon in (0.0, 1e-3):
         prec = MeasurementPrecision(epsilon=epsilon, alpha1=1e-300)
         with pytest.raises(ValueError) as exc:
@@ -823,7 +824,7 @@ def test_cli_sweep_refuses_bad_precision_input(flags, named, capsys):
 
 
 def test_run_sweep_refuses_an_infinite_error_bound_before_any_gridpoint(monkeypatch):
-    monkeypatch.setattr(braidjones.cli, "evaluate", _no_gridpoint)
+    monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     prec = MeasurementPrecision(epsilon=5e307)
     with pytest.raises(ValueError, match="--epsilon 5e\\+307 .* non-finite eq9_bound"):
         run_sweep(preset("trefoil"), [0.0], prec)

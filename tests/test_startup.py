@@ -1,8 +1,9 @@
-"""The start-up contract: a numpy-free package import and one launcher.
+"""The start-up contract: a numpy-free package import and front end, and one launcher.
 
 ``import braidjones`` registers every submodule without running it, so the
-launcher can set ``OPENBLAS_NUM_THREADS`` before numpy loads.  Each check
-runs in a fresh interpreter, where nothing has loaded numpy yet.
+launcher can set ``OPENBLAS_NUM_THREADS`` before numpy loads.  ``--help``
+and the parse-time refusals load no numpy at all.  Each check runs in a
+fresh interpreter, where nothing has loaded numpy yet.
 """
 
 import os
@@ -56,15 +57,49 @@ def test_importing_the_launcher_loads_no_numpy():
     assert _python("import sys, braidjones.__main__\nprint('numpy' in sys.modules)") == "False"
 
 
+# cli binds its numerical layers lazily, so numpy loads inside each command's handler
 @pytest.mark.parametrize("env, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")])
 def test_launcher_sets_single_threaded_blas_unless_the_user_did(env, threads):
+    for argv in (
+        ["angles", "--theta-deg", "15", "--which", "1"],
+        ["sweep", "--preset", "trefoil", "--theta-max-deg", "2", "--epsilon", "1e-3"],
+        ["compile", "--theta-deg", "15", "--which", "2", "--inverse"],
+    ):
+        last = _python(
+            NUMPY_PROBE + "import contextlib, io\n"
+            "from braidjones.__main__ import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = main({argv!r})\n"
+            "print(status, seen, os.environ['OPENBLAS_NUM_THREADS'])",
+            **env,
+        )
+        assert last == f"0 [{threads!r}] {threads}", argv
+
+
+# --help exits through SystemExit, a refusal returns
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["--help"], 0),
+        (["sweep", "--help"], 0),
+        (["sweep", "--preset", "trefoil", "--epsilon"], 2),
+        (["sweep", "--braid", "s9"], 2),
+        (["sweep", "--preset", "trefoil", "--theta-min-deg", "inf"], 2),
+    ],
+    ids=["help", "sweep-help", "argparse-refusal", "braid-refusal", "theta-refusal"],
+)
+def test_help_and_parse_time_refusals_load_no_numpy(argv, status):
     last = _python(
-        NUMPY_PROBE + "from braidjones.__main__ import main\n"
-        "status = main(['angles', '--theta-deg', '15', '--which', '1'])\n"
-        "print(status, seen, os.environ['OPENBLAS_NUM_THREADS'])",
-        **env,
+        "import contextlib, io, sys\n"
+        "from braidjones.__main__ import main\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        status = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(status, 'numpy' in sys.modules)"
     )
-    assert last == f"0 [{threads!r}] {threads}"
+    assert last == f"{status} False"
 
 
 def test_a_noisy_sweep_loads_numpy_random_only_if_numpy_does():
@@ -85,7 +120,7 @@ def test_importing_cli_leaves_the_environment_alone():
         "import os, sys\n"
         "before = dict(os.environ)\n"
         "import braidjones.cli\n"
-        "braidjones.cli.main\n"
+        "braidjones.cli.nmr.MeasurementPrecision\n"
         "print('numpy' in sys.modules, dict(os.environ) == before)"
     )
     assert last == "True True"
