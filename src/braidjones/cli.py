@@ -3,10 +3,10 @@
 ``sweep`` evaluates a braid closure over a grid of angles (degrees on the
 interface, radians internally) and writes a CSV with 12-significant-digit
 floats, one row per gridpoint.  Output bytes are fully determined by the
-braid, grid, epsilon and seed.  The command exits 1 when any row violates
-the oracle tolerance or the measurement error bound or holds a non-finite
-value, and 2 on bad input or when the output cannot be written, so it can
-serve as a CI acceptance gate.
+braid, the grid, epsilon, alpha1, the seed and whether the oracle runs.
+The command exits 1 when any row violates the oracle tolerance or the
+measurement error bound or holds a non-finite value, and 2 on bad input or
+when the output cannot be written, so it can serve as a CI acceptance gate.
 
 The numerical layers are bound as the package's lazy submodules, which run
 on first use.  So ``--help``, argparse's refusals, ``--braid`` parse
@@ -91,13 +91,54 @@ def preset(name: str) -> BraidWord:
     return parse_braid(word, 3)
 
 
-def _check_sweep_cost(b: BraidWord, points: float, with_oracle: bool) -> None:
-    """Refuse a sweep whose cost is over MAX_SWEEP_PRODUCTS, before any gridpoint.
+# the flags that set a sweep's grid, in run_sweep's (lo, hi, step) order
+_GRID_FLAGS = ("--theta-min-deg", "--theta-max-deg", "--theta-step-deg")
 
-    Each of the ``points`` gridpoints costs its letters, _POINT_PRODUCTS and,
-    with the oracle, one product per state-sum term.  ``points`` may be a
-    float count, inf included, so an overflowed grid is refused, not converted.
+
+def _check_finite_grid(lo: float, hi: float, step: float) -> None:
+    """Refuse a NaN or infinite grid value by its flag; this check loads no numpy."""
+    for flag, value in zip(_GRID_FLAGS, (lo, hi, step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite")
+
+
+def run_sweep(
+    b: BraidWord,
+    lo: float,
+    hi: float,
+    step: float,
+    prec: nmr.MeasurementPrecision | None = None,
+    with_oracle: bool = False,
+) -> list[SweepRecord]:
+    """One record per angle ``lo + k * step`` degrees up to ``hi``, in grid order.
+
+    The grid holds ``int((hi - lo) / step + 1e-9) + 1`` angles: the slack keeps
+    an endpoint that lies a whole number of steps from ``lo`` but rounds short.
+    ``prec`` None means ``nmr.MeasurementPrecision()``: an exact readout,
+    built at call time so that importing cli loads no numpy.
+
+    Before any gridpoint, and in this order, the sweep refuses: a NaN or
+    infinite ``lo``, ``hi`` or ``step``; a step that is not positive or
+    ``hi`` below ``lo``; with the oracle, a word ``check_state_sum_size``
+    refuses; a cost over MAX_SWEEP_PRODUCTS, where each gridpoint costs its
+    letters, _POINT_PRODUCTS and, with the oracle, one product per state-sum
+    term (a count that overflows is refused as a float, inf included); an
+    inadmissible angle; and a vanishing calibration or a non-finite error
+    bound.  Each refusal is a ValueError that names its CLI flag or angle.
+    Gridpoints then run serially; the point at index k perturbs its trace
+    estimate with seed prec.seed + k.  A check that fails at a gridpoint,
+    such as a word not on three strands, raises ValueError naming the angle.
     """
+    lo, hi, step = float(lo), float(hi), float(step)
+    _check_finite_grid(lo, hi, step)
+    if step <= 0.0:
+        raise ValueError(f"--theta-step-deg must be positive, got {step!r}")
+    if hi < lo:
+        raise ValueError(f"--theta-max-deg {hi!r} is below --theta-min-deg {lo!r}")
+    steps = (hi - lo) / step + 1e-9
+    # int() refuses an overflowed (inf) count; each gridpoint costs at least one
+    # product, so a count over the budget is refused as the float it is
+    points = int(steps) + 1 if steps < MAX_SWEEP_PRODUCTS else steps + 1
     terms = 0
     if with_oracle:
         try:
@@ -108,33 +149,10 @@ def _check_sweep_cost(b: BraidWord, points: float, with_oracle: bool) -> None:
     if cost > MAX_SWEEP_PRODUCTS:
         oracle = f" plus {terms} --oracle terms" if with_oracle else ""
         raise ValueError(
-            f"{points:.12g} gridpoints of {len(b)} letters{oracle} cost {cost:.12g} "
-            f"letter products, over MAX_SWEEP_PRODUCTS = {MAX_SWEEP_PRODUCTS}"
+            f"{'/'.join(_GRID_FLAGS)}: {points:.12g} gridpoints of {len(b)} letters{oracle} "
+            f"cost {cost:.12g} letter products, over MAX_SWEEP_PRODUCTS = {MAX_SWEEP_PRODUCTS}"
         )
-
-
-def run_sweep(
-    b: BraidWord,
-    thetas_deg: list[float],
-    prec: nmr.MeasurementPrecision | None = None,
-    with_oracle: bool = False,
-) -> list[SweepRecord]:
-    """One record per grid angle, in grid order; deterministic for a fixed seed.
-
-    ``prec`` None means ``nmr.MeasurementPrecision()``: an exact readout,
-    built at call time so that importing cli loads no numpy.  Gridpoints
-    are evaluated serially in input order; the point at index k perturbs
-    its trace estimate with seed prec.seed + k.  Every angle must
-    be admissible, the word must have three strands, the sweep must pass
-    ``_check_sweep_cost`` (with the oracle, that includes the word checks of
-    ``check_state_sum_size``), the calibration constant must not vanish and
-    the error bound must be finite.  These checks run before any gridpoint.
-    A check that fails at a gridpoint raises ValueError naming the angle.
-    """
-    if b.strands != 3:
-        raise ValueError(f"sweeps need a 3-strand word, got {b.strands} strands")
-    grid = [(deg, math.radians(deg)) for deg in map(float, thetas_deg)]
-    _check_sweep_cost(b, len(grid), with_oracle)
+    grid = [(deg, math.radians(deg)) for deg in (lo + k * step for k in range(points))]
     for deg, theta in grid:
         if not tlrep.is_admissible(theta):
             raise ValueError(f"theta = {deg} deg is outside the admissible angle set")
@@ -294,34 +312,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         braid = preset(args.preset) if args.preset else parse_braid(args.braid, 3)
     except BraidParseError as exc:
         raise ValueError(f"--braid: {exc}") from None
-    for flag in ("theta_min_deg", "theta_max_deg", "theta_step_deg"):
-        if not math.isfinite(getattr(args, flag)):
-            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
+    grid = (args.theta_min_deg, args.theta_max_deg, args.theta_step_deg)
+    _check_finite_grid(*grid)
     try:
         prec = nmr.MeasurementPrecision(epsilon=args.epsilon, alpha1=args.alpha1, seed=args.seed)
     except ValueError as exc:
         # each message starts with the refused field, which is also the flag's name
         raise ValueError(f"--{exc}") from None
-    lo, hi, step = args.theta_min_deg, args.theta_max_deg, args.theta_step_deg
-    if step <= 0.0:
-        raise ValueError(f"--theta-step-deg must be positive, got {step!r}")
-    span = hi - lo
-    if span < 0.0:
-        raise ValueError(f"--theta-max-deg {hi!r} is below --theta-min-deg {lo!r}")
-    steps = span / step + 1e-9
-    # int() refuses an overflowed (inf) count; each gridpoint costs at least one
-    # product, so a count over the budget is refused as the float it is
-    points = int(steps) + 1 if steps < MAX_SWEEP_PRODUCTS else steps + 1
-    try:
-        _check_sweep_cost(braid, points, args.oracle)
-    except ValueError as exc:
-        # an --oracle word refusal already names its flag; the budget refusal gets the grid's
-        if str(exc).startswith("--"):
-            raise
-        raise ValueError(f"--theta-min-deg/--theta-max-deg/--theta-step-deg: {exc}") from None
-    grid = [lo + k * step for k in range(points)]
     # a refused sweep raises here, before --out is opened, so it leaves the file as it was
-    records = run_sweep(braid, grid, prec, with_oracle=args.oracle)
+    records = run_sweep(braid, *grid, prec, with_oracle=args.oracle)
     destination = nullcontext(sys.stdout)
     if args.out:
         try:

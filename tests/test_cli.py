@@ -30,8 +30,6 @@ from braidjones.cli import (
 from braidjones.nmr import MeasurementPrecision
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-# the sweep command's default grid: 0..30 degrees in 1-degree steps
-DEFAULT_GRID = [float(k) for k in range(31)]
 
 
 def _cli_env():
@@ -83,7 +81,7 @@ def test_presets():
 
 
 def test_run_sweep_exact_mode():
-    records = run_sweep(preset("trefoil"), DEFAULT_GRID, with_oracle=True)
+    records = run_sweep(preset("trefoil"), 0.0, 30.0, 1.0, with_oracle=True)
     assert len(records) == 31
     for r in records:
         assert abs(r.trace_exact - r.trace_nmr) <= 1e-10
@@ -92,38 +90,65 @@ def test_run_sweep_exact_mode():
 
 
 def test_run_sweep_identity_braid_point():
-    records = run_sweep(parse_braid("", 3), [0.0])
+    records = run_sweep(parse_braid("", 3), 0.0, 0.0, 1.0)
     assert abs(records[0].trace_exact - 2.0) < 1e-12
     assert abs(records[0].bracket - 4.0) < 1e-12
     assert records[0].bracket_oracle is None
 
 
 def test_run_sweep_figure8_at_zero():
-    records = run_sweep(preset("figure8"), [0.0])
+    records = run_sweep(preset("figure8"), 0.0, 0.0, 1.0)
     assert records[0].jones == records[0].bracket
 
 
 def test_run_sweep_rejects_inadmissible_angle():
     with pytest.raises(ValueError, match="45.0"):
-        run_sweep(preset("trefoil"), [0.0, 45.0])
+        run_sweep(preset("trefoil"), 0, 45, 45)
 
 
 def test_run_sweep_rejects_wrong_strand_count():
-    with pytest.raises(ValueError, match="3-strand"):
-        run_sweep(parse_braid("s1", 2), [0.0])
+    # the representation refuses the word at the first gridpoint, naming the angle
+    with pytest.raises(ValueError, match="^theta = 0.0 deg: .*3-strand"):
+        run_sweep(parse_braid("s1", 2), 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index, flag", enumerate(("--theta-min-deg", "--theta-max-deg", "--theta-step-deg")))
+def test_run_sweep_refuses_a_non_finite_grid_before_any_gridpoint(index, flag, bad, monkeypatch):
+    monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
+    grid = [0.0, 30.0, 1.0]
+    grid[index] = bad
+    with pytest.raises(ValueError) as exc:
+        run_sweep(preset("trefoil"), *grid)
+    assert str(exc.value) == f"{flag} must be finite"
+
+
+def test_run_sweep_refuses_an_all_non_finite_grid(monkeypatch):
+    # the count (inf - -inf) / inf is nan, which passes the budget comparison unrefused
+    monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
+    with pytest.raises(ValueError, match="^--theta-min-deg must be finite$"):
+        run_sweep(preset("trefoil"), -math.inf, math.inf, math.inf)
+
+
+def test_run_sweep_keeps_an_endpoint_that_rounds_short(capsys):
+    # 0.3 / 0.1 is 2.9999999999999996; the 1e-9 slack keeps the fourth angle, 0 + 3 * 0.1
+    rows = run_sweep(preset("trefoil"), 0.0, 0.3, 0.1)
+    assert len(rows) == 4 and rows[-1].theta_deg == 0.30000000000000004
+    assert main(["sweep", "--preset", "trefoil", "--theta-max-deg", "0.3", "--theta-step-deg", "0.1"]) == 0
+    assert capsys.readouterr().err == "4 gridpoints, 0 violations\n"
 
 
 def test_run_sweep_deterministic_with_noise():
     prec = MeasurementPrecision(epsilon=1e-3, alpha1=1.0, seed=9)
-    first = run_sweep(preset("figure8"), DEFAULT_GRID, prec)
-    second = run_sweep(preset("figure8"), DEFAULT_GRID, prec)
+    first = run_sweep(preset("figure8"), 0.0, 30.0, 1.0, prec)
+    second = run_sweep(preset("figure8"), 0.0, 30.0, 1.0, prec)
     assert first == second
     for r in first:
         assert abs(r.trace_exact - r.trace_nmr) <= r.eq9_bound
 
 
 def test_emit_csv_shape_and_determinism():
-    records = run_sweep(preset("trefoil"), DEFAULT_GRID, with_oracle=True)
+    records = run_sweep(preset("trefoil"), 0.0, 30.0, 1.0, with_oracle=True)
     buf = io.StringIO()
     emit_csv(records, buf)
     lines = buf.getvalue().splitlines()
@@ -139,7 +164,7 @@ def test_emit_csv_empty_and_oracle_free():
     buf = io.StringIO()
     emit_csv([], buf)
     assert buf.getvalue() == CSV_COLUMNS + "\n"
-    records = run_sweep(preset("trefoil"), [0.0])
+    records = run_sweep(preset("trefoil"), 0.0, 0.0, 1.0)
     buf = io.StringIO()
     emit_csv(records, buf)
     row = buf.getvalue().splitlines()[1].split(",")
@@ -158,8 +183,8 @@ def test_csv_header_follows_the_record_fields():
 def test_emit_csv_round_trips():
     prec = MeasurementPrecision(epsilon=1e-3, alpha1=0.3, seed=5)
     records = (
-        run_sweep(preset("borromean"), [0.0, 7.0, 30.0], prec, with_oracle=True)
-        + run_sweep(preset("figure8"), [90.0, 200.0], prec)
+        run_sweep(preset("borromean"), 0.0, 28.0, 7.0, prec, with_oracle=True)
+        + run_sweep(preset("figure8"), 90.0, 200.0, 110.0, prec)
     )
     buf = io.StringIO()
     emit_csv(records, buf)
@@ -451,7 +476,7 @@ def test_run_sweep_builds_each_letter_image_once_per_point(monkeypatch):
         return original(g, params)
 
     monkeypatch.setattr(braidjones.tlrep, "rho_generator", counting)
-    run_sweep(preset("borromean"), DEFAULT_GRID)
+    run_sweep(preset("borromean"), 0.0, 30.0, 1.0)
     # two distinct letters (s1, s2^-1) at each of the 31 angles
     assert calls == 2 * 31
 
@@ -466,7 +491,7 @@ def test_run_sweep_builds_one_generator_pair_per_point(monkeypatch):
         return original(delta)
 
     monkeypatch.setattr(braidjones.tlrep, "tl_generators", counting)
-    run_sweep(preset("borromean"), DEFAULT_GRID)
+    run_sweep(preset("borromean"), 0.0, 30.0, 1.0)
     # ReprParams builds (U1, U2) once; both letter images read that pair
     assert calls == 31
 
@@ -544,10 +569,11 @@ def test_cli_sweep_refuses_an_empty_word_over_the_budget(capsys, monkeypatch):
     )
     monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     empty = parse_braid("", 3)
-    with pytest.raises(ValueError, match="^200001 gridpoints of 0 letters cost 10000050 "):
-        run_sweep(empty, [15.0] * 200001)
+    # 1/8192-degree steps are exact, so these grids hold 200001 and 200000 angles in 0..25 deg
+    with pytest.raises(ValueError, match=f"^{GRID_FLAGS}200001 gridpoints of 0 letters cost 10000050 "):
+        run_sweep(empty, 0.0, 200000 / 8192, 1 / 8192)
     with pytest.raises(AssertionError, match="a gridpoint was evaluated"):
-        run_sweep(empty, [15.0] * 200000)
+        run_sweep(empty, 0.0, 199999 / 8192, 1 / 8192)
 
 
 def test_cli_sweep_refuses_an_overflowed_grid_count(capsys):
@@ -573,7 +599,7 @@ def test_cli_sweep_unwritable_out_is_bad_input(tmp_path):
 def test_run_sweep_checks_oracle_limits_before_any_gridpoint(monkeypatch, capsys):
     monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     with pytest.raises(ValueError, match="--oracle: the word has 21 letters; .* 20 letters"):
-        run_sweep(parse_braid("s1^21", 3), [0.0], with_oracle=True)
+        run_sweep(parse_braid("s1^21", 3), 0.0, 0.0, 1.0, with_oracle=True)
     assert main(["sweep", "--braid", "s1^21", "--oracle"]) == 2
     assert "--oracle" in capsys.readouterr().err
 
@@ -583,10 +609,10 @@ def test_run_sweep_bounds_the_oracle_cost_before_any_gridpoint(monkeypatch, caps
     word = parse_braid("s1 s2^-1 " * 10, 3)
     # each gridpoint costs 20 letters + 50 + 2^20 state-sum terms = 1048646 products:
     # 10 points exceed 10^7, 9 reach the first gridpoint
-    with pytest.raises(ValueError, match="^10 gridpoints of 20 letters plus 1048576 --oracle terms"):
-        run_sweep(word, [0.5 * k for k in range(10)], with_oracle=True)
+    with pytest.raises(ValueError, match=f"^{GRID_FLAGS}10 gridpoints of 20 letters plus 1048576 --oracle terms"):
+        run_sweep(word, 0.0, 4.5, 0.5, with_oracle=True)
     with pytest.raises(AssertionError, match="a gridpoint was evaluated"):
-        run_sweep(word, [0.5 * k for k in range(9)], with_oracle=True)
+        run_sweep(word, 0.0, 4.0, 0.5, with_oracle=True)
     argv = ["sweep", "--braid", "s1 s2^-1 " * 10, "--oracle", "--theta-max-deg", "4.5",
             "--theta-step-deg", "0.5"]
     assert main(argv) == 2
@@ -602,7 +628,7 @@ def test_run_sweep_names_alpha1_when_the_calibration_vanishes(monkeypatch):
     for epsilon in (0.0, 1e-3):
         prec = MeasurementPrecision(epsilon=epsilon, alpha1=1e-300)
         with pytest.raises(ValueError) as exc:
-            run_sweep(preset("trefoil"), [0.0], prec)
+            run_sweep(preset("trefoil"), 0.0, 0.0, 1.0, prec)
         assert str(exc.value) == "--alpha1 1e-300 gives a vanishing calibration constant"
 
 
@@ -619,7 +645,7 @@ def test_cli_sweep_names_alpha1_when_the_calibration_vanishes(epsilon, capsys):
 def test_cli_sweep_summary_reports_worst_oracle_gap(capsys):
     assert main(["sweep", "--preset", "borromean", "--oracle", "--theta-max-deg", "3"]) == 0
     captured = capsys.readouterr()
-    records = run_sweep(preset("borromean"), [0.0, 1.0, 2.0, 3.0], with_oracle=True)
+    records = run_sweep(preset("borromean"), 0.0, 3.0, 1.0, with_oracle=True)
     worst = max(records, key=lambda r: abs(r.bracket - r.bracket_oracle))
     gap = abs(worst.bracket - worst.bracket_oracle)
     assert captured.err.splitlines()[-1] == (
@@ -632,7 +658,7 @@ def test_cli_sweep_summary_reports_worst_oracle_gap(capsys):
 
 @pytest.mark.parametrize("name", ["trace_nmr", "eq9_bound", "bracket_oracle", "jones"])
 def test_check_records_flags_non_finite_fields(name):
-    (record,) = run_sweep(preset("trefoil"), [5.0], with_oracle=True)
+    (record,) = run_sweep(preset("trefoil"), 5.0, 5.0, 1.0, with_oracle=True)
     problems, _ = _check_records([record])
     assert problems == []
     bad = dataclasses.replace(record, **{name: math.nan})
@@ -642,10 +668,11 @@ def test_check_records_flags_non_finite_fields(name):
 
 def test_run_sweep_keeps_grid_order_and_seeds_row_k_with_seed_plus_k():
     word = preset("figure8")
-    rows = run_sweep(word, [30.0, 0.0, 15.0], MeasurementPrecision(epsilon=1e-3, seed=3))
-    assert [r.theta_deg for r in rows] == [30.0, 0.0, 15.0]
+    rows = run_sweep(word, 0.0, 30.0, 15.0, MeasurementPrecision(epsilon=1e-3, seed=3))
+    assert [r.theta_deg for r in rows] == [0.0, 15.0, 30.0]
     for k, row in enumerate(rows):
-        alone = run_sweep(word, [row.theta_deg], MeasurementPrecision(epsilon=1e-3, seed=3 + k))
+        deg = row.theta_deg
+        alone = run_sweep(word, deg, deg, 1.0, MeasurementPrecision(epsilon=1e-3, seed=3 + k))
         assert alone == [row]
 
 
@@ -657,7 +684,7 @@ def test_run_sweep_converts_each_angle_once(monkeypatch):
         return math.radians(deg)
 
     monkeypatch.setattr(braidjones.cli, "math", types.SimpleNamespace(**{**vars(math), "radians": radians}))
-    run_sweep(preset("trefoil"), [0.0, 5.0, 10.0])
+    run_sweep(preset("trefoil"), 0.0, 10.0, 5.0)
     assert calls == [0.0, 5.0, 10.0]
 
 
@@ -788,7 +815,7 @@ def test_cli_sweep_runs_a_sweep_at_the_product_cap(capsys, monkeypatch):
 
 
 def _record(deg, bracket, oracle):
-    (record,) = run_sweep(preset("trefoil"), [deg], with_oracle=True)
+    (record,) = run_sweep(preset("trefoil"), deg, deg, 1.0, with_oracle=True)
     return dataclasses.replace(record, bracket=bracket, bracket_oracle=oracle)
 
 
@@ -802,7 +829,7 @@ def test_check_records_reports_the_first_nan_gap_then_the_first_tied_angle():
     assert len(problems) == 5
     tied = [_record(1.0, 0.0, 0.0), _record(2.0, 1.0, 0.5), _record(3.0, 0.5, 0.0)]
     assert _check_records(tied)[1] == (0.5, 2.0)
-    assert _check_records(run_sweep(preset("trefoil"), [0.0])) == ([], None)
+    assert _check_records(run_sweep(preset("trefoil"), 0.0, 0.0, 1.0)) == ([], None)
 
 
 @pytest.mark.parametrize(
@@ -827,7 +854,7 @@ def test_run_sweep_refuses_an_infinite_error_bound_before_any_gridpoint(monkeypa
     monkeypatch.setattr(braidjones.invariants, "evaluate", _no_gridpoint)
     prec = MeasurementPrecision(epsilon=5e307)
     with pytest.raises(ValueError, match="--epsilon 5e\\+307 .* non-finite eq9_bound"):
-        run_sweep(preset("trefoil"), [0.0], prec)
+        run_sweep(preset("trefoil"), 0.0, 0.0, 1.0, prec)
 
 
 class _FailingStream(io.StringIO):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import braidjones.invariants
 from braidjones.braid import BraidGenerator, BraidWord, concat, exponent_sum, invert, parse_braid
-from braidjones.cli import _check_sweep_cost
 from braidjones.invariants import (
     TLDiagram,
     bracket_state_sum,
@@ -205,14 +204,8 @@ def test_check_state_sum_size_bounds_the_terms_over_all_points():
     # the term count is the state sum's cost at one angle; a sweep charges it per gridpoint
     assert check_state_sum_size(word) == 2**20
     assert check_state_sum_size(BraidWord(3)) == 1
-    # 10 * (20 letters + 50 + 2^20 terms) exceed 10^7 letter products; 9 * the same fit
-    with pytest.raises(ValueError) as exc:
-        _check_sweep_cost(word, 10, with_oracle=True)
-    assert str(exc.value) == (
-        "10 gridpoints of 20 letters plus 1048576 --oracle terms cost 10486460 "
-        "letter products, over MAX_SWEEP_PRODUCTS = 10000000"
-    )
-    _check_sweep_cost(word, 9, with_oracle=True)
+    # cli.run_sweep charges these terms per gridpoint: see
+    # test_cli.py::test_run_sweep_bounds_the_oracle_cost_before_any_gridpoint
 
 
 # Jones' identities (Bull. AMS 12, 1985) on 3-strand words of at most 40 letters, at

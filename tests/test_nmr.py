@@ -218,7 +218,7 @@ def test_precision_refuses_an_unusable_noise_band_or_seed(kwargs, field):
 def test_precision_accepts_a_numpy_integer_seed():
     prec = MeasurementPrecision(epsilon=1e-2, seed=np.int64(3))
     assert type(prec.seed) is int and prec == replace(prec, seed=3)
-    sweeps = [run_sweep(preset("borromean"), [0.0, 15.0, 30.0], replace(prec, seed=seed))
+    sweeps = [run_sweep(preset("borromean"), 0.0, 30.0, 15.0, replace(prec, seed=seed))
               for seed in (np.int64(3), 3)]
     assert [r.trace_nmr for r in sweeps[0]] == [r.trace_nmr for r in sweeps[1]]
 
@@ -250,7 +250,7 @@ def test_sweep_prepares_the_probe_once(monkeypatch):
 
     monkeypatch.setattr(braidjones.nmr, "prepare_rho1", counting)
     braidjones.nmr._probe.cache_clear()
-    run_sweep(preset("borromean"), [float(k) for k in range(31)])
+    run_sweep(preset("borromean"), 0.0, 30.0, 1.0)
     # one shared rho_1 serves the calibration and all 31 gridpoints
     assert calls == 1
     rho1, _ = braidjones.nmr._probe(1, 1.0)
