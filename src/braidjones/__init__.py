@@ -14,6 +14,10 @@ first attribute access, so ``python -m braidjones`` can choose numpy's
 BLAS threading before numpy loads.  Before Python 3.12 that first access
 takes no lock, so a threaded program should use a name before it starts
 its threads.
+
+A package name resolves by reading each submodule's ``__all__`` in
+``_SUBMODULES`` order, so it runs every submodule listed before its owner.
+The numpy-free ``braid`` and ``cli`` come first: their names load no numpy.
 """
 
 import importlib.util
@@ -21,8 +25,9 @@ import sys
 
 __version__ = "0.1.0"
 
-# every submodule but the launcher, __main__, which exports no names
-_SUBMODULES = ("braid", "invariants", "nmr", "pathmodel", "pulses", "tlrep", "cli")
+# every submodule but the launcher, __main__, which exports no names; numpy-free first,
+# then in dependency order
+_SUBMODULES = ("braid", "cli", "tlrep", "nmr", "invariants", "pulses", "pathmodel")
 
 
 def _lazy(name):

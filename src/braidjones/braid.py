@@ -80,12 +80,8 @@ class BraidWord:
         object.__setattr__(self, "letters", letters)
         if self.strands < 2:
             raise ValueError(f"need at least 2 strands, got {self.strands}")
-        # Keyed by object first: a parsed word shares its letters, so each
-        # distinct object is hashed once and the per-letter work stays in C.
-        objects = dict(zip(map(id, letters), letters))
         index: dict[BraidGenerator, int] = {}
-        code_of = {key: index.setdefault(g, len(index)) for key, g in objects.items()}
-        object.__setattr__(self, "codes", tuple(map(code_of.__getitem__, map(id, letters))))
+        object.__setattr__(self, "codes", tuple([index.setdefault(g, len(index)) for g in letters]))
         object.__setattr__(self, "alphabet", tuple(index))
         for g in self.alphabet:
             if g.index > self.strands - 1:

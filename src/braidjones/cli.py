@@ -24,7 +24,7 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import invariants, nmr, pulses, tlrep
 from .braid import BraidParseError, BraidWord, parse_braid
@@ -45,13 +45,6 @@ PRESETS = {
     "borromean": "s1 s2^-1 s1 s2^-1 s1 s2^-1",
 }
 
-# exact header order of the sweep CSV
-CSV_COLUMNS = (
-    "theta_deg,theta_rad,A_re,A_im,delta,trace_re,trace_im,"
-    "trace_nmr_re,trace_nmr_im,bracket_re,bracket_im,oracle_re,oracle_im,"
-    "f_re,f_im,t_re,t_im,jones_re,jones_im,eq9_bound"
-)
-
 _EXACT_TRACE_TOL = 1e-10
 # largest |bracket - oracle| a sweep row passes
 ORACLE_TOL = 1e-9
@@ -66,20 +59,26 @@ _POINT_PRODUCTS = 50
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Full results at one gridpoint; ``bracket_oracle`` is None when skipped."""
+    """Full results at one gridpoint; ``oracle`` is None when skipped."""
 
     theta_deg: float
     theta_rad: float
     A: complex
     delta: float
-    trace_exact: complex
+    trace: complex
     trace_nmr: complex
     bracket: complex
-    bracket_oracle: complex | None
+    oracle: complex | None
     f: complex
     t: complex
     jones: complex
     eq9_bound: float
+
+
+# the sweep CSV header: one column per field, two (name_re,name_im) per complex field
+CSV_COLUMNS = ",".join(
+    f"{f.name}_re,{f.name}_im" if "complex" in f.type else f.name for f in fields(SweepRecord)
+)
 
 
 def preset(name: str) -> BraidWord:
@@ -178,10 +177,10 @@ def run_sweep(
             theta_rad=theta,
             A=params.A,
             delta=params.delta,
-            trace_exact=values.trace,
+            trace=values.trace,
             trace_nmr=trace_nmr,
             bracket=values.bracket,
-            bracket_oracle=oracle,
+            oracle=oracle,
             f=values.f,
             t=values.t,
             jones=values.jones,
@@ -225,14 +224,14 @@ def _check_records(records: list[SweepRecord]) -> tuple[list[str], tuple[float, 
         bad = [k for k, v in vars(r).items() if v is not None and not cmath.isfinite(v)]
         if bad:
             problems.append(f"theta={r.theta_deg} deg: non-finite {', '.join(bad)}")
-        if r.bracket_oracle is not None:
-            gap = abs(r.bracket - r.bracket_oracle)
+        if r.oracle is not None:
+            gap = abs(r.bracket - r.oracle)
             if not gap <= ORACLE_TOL:
                 problems.append(
                     f"theta={r.theta_deg} deg: |bracket - oracle| = {gap:.3e} > {ORACLE_TOL:.3e}"
                 )
             gaps.append((gap, r.theta_deg))
-        drift = abs(r.trace_exact - r.trace_nmr)
+        drift = abs(r.trace - r.trace_nmr)
         limit = r.eq9_bound or _EXACT_TRACE_TOL
         if not drift <= limit:
             problems.append(

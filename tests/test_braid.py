@@ -184,9 +184,13 @@ def test_word_alphabet_and_codes():
     assert word.alphabet == (BraidGenerator(2, -1), BraidGenerator(1, 1), BraidGenerator(2, 1))
     assert word.codes == (0, 1, 0, 2, 1)
     assert tuple(word.alphabet[k] for k in word.codes) == word.letters
+    # equal letters that are distinct objects get one code, as shared ones do
     fresh = BraidWord(3, tuple(BraidGenerator(g.index, g.sign) for g in word.letters))
-    assert (fresh.alphabet, fresh.codes) == (word.alphabet, word.codes)
-    assert fresh == word and repr(fresh) == repr(word)
+    twice_inverted = invert(invert(word))
+    for other in (fresh, twice_inverted):
+        assert len({id(g) for g in other.letters}) == len(word)
+        assert (other.alphabet, other.codes) == (word.alphabet, word.codes)
+        assert other == word and repr(other) == repr(word)
     assert (parse_braid("", 3).alphabet, parse_braid("", 3).codes) == ((), ())
 
 

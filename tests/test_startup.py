@@ -53,6 +53,15 @@ def test_import_loads_no_numpy_and_registers_every_submodule():
     assert last == f"False {[f'braidjones.{name}' for name in SUBMODULES]}"
 
 
+# a package name runs every submodule listed before its owner; braid and cli come first
+@pytest.mark.parametrize(
+    "name", ["parse_braid", "preset", "PRESETS", "CSV_COLUMNS", "SweepRecord", "main"]
+)
+def test_the_names_of_braid_and_cli_load_no_numpy(name):
+    last = _python(f"import sys, braidjones\nbraidjones.{name}\nprint('numpy' in sys.modules)")
+    assert last == "False"
+
+
 def test_importing_the_launcher_loads_no_numpy():
     assert _python("import sys, braidjones.__main__\nprint('numpy' in sys.modules)") == "False"
 
