@@ -177,10 +177,6 @@ def test_csv_header_follows_the_record_fields():
         "trace_nmr_re,trace_nmr_im,bracket_re,bracket_im,oracle_re,oracle_im,"
         "f_re,f_im,t_re,t_im,jones_re,jones_im,eq9_bound"
     )
-    expected = []
-    for f in dataclasses.fields(SweepRecord):
-        expected += [f"{f.name}_re", f"{f.name}_im"] if "complex" in f.type else [f.name]
-    assert CSV_COLUMNS.split(",") == expected
 
 
 def test_emit_csv_round_trips():
@@ -671,7 +667,7 @@ def test_check_records_flags_non_finite_fields(name):
     assert problems == []
     bad = dataclasses.replace(record, **{name: math.nan})
     problems, _ = _check_records([bad])
-    assert problems and any(name in p for p in problems)
+    assert any(p.endswith(f": non-finite {name}") for p in problems)
 
 
 def test_run_sweep_keeps_grid_order_and_seeds_row_k_with_seed_plus_k():
