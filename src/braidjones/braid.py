@@ -10,12 +10,12 @@ letter, and the empty word is the identity braid.  The parser is n-strand
 general; strand limits specific to a representation are enforced by the
 modules that need them, not here.
 
-Per-letter work is paid once per word.  ``parse_braid`` expands each
-distinct term once, so equal letters of a parsed word are one shared
-object, and refuses a word of more than ``MAX_WORD_LETTERS`` letters before
-a power expands.  A ``BraidWord`` derives, at construction, its
-``alphabet`` (the distinct letters in order of first appearance) and its
-``codes`` (the word as indices into the alphabet), so code that maps
+Per-letter work is paid once per word.  ``parse_braid`` parses each
+distinct term once, so the repeats of one term in a parsed word are one
+shared letter object, and refuses a word of more than ``MAX_WORD_LETTERS``
+letters before a power expands.  A ``BraidWord`` derives, at construction,
+its ``alphabet`` (the distinct letters in order of first appearance) and
+its ``codes`` (the word as indices into the alphabet), so code that maps
 letters to matrices builds one image per alphabet entry and indexes it per
 letter, hashing no letter.
 """
@@ -102,7 +102,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
     Powers expand left to right, so ``s1^3`` yields three ``s1`` letters and
     a negative power yields |k| inverse letters.  Each distinct term is
-    checked and expanded once, and equal letters are one shared object.
+    checked and expanded once, so its repeats are one shared letter object.
     Raises BraidParseError (with the offending position) for syntax errors,
     out-of-range generator indices and zero exponents, at the first bad
     term; then, before any power expands, for a word longer than
@@ -111,11 +111,10 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     if strands < 2:
         raise ValueError(f"need at least 2 strands, got {strands}")
     tokens = text.split()
-    generators: dict[tuple[int, int], BraidGenerator] = {}
     terms: dict[str, tuple[BraidGenerator, int]] = {}
     for token in dict.fromkeys(tokens):
         try:
-            terms[token] = _parse_term(token, strands, generators)
+            terms[token] = _parse_term(token, strands)
         except ValueError as exc:
             raise BraidParseError(str(exc), _token_start(text, tokens.index(token))) from None
     counts = [count for _, count in map(terms.__getitem__, tokens)]
@@ -128,10 +127,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, tuple(chain.from_iterable(map(expansions.__getitem__, tokens))))
 
 
-def _parse_term(
-    token: str, strands: int, generators: dict[tuple[int, int], BraidGenerator]
-) -> tuple[BraidGenerator, int]:
-    """(letter, repeat count) of one term; equal letters come from ``generators``.
+def _parse_term(token: str, strands: int) -> tuple[BraidGenerator, int]:
+    """(letter, repeat count) of one term.
 
     Raises ValueError with the message parse_braid reports for a bad term.
     """
@@ -146,8 +143,7 @@ def _parse_term(
     power = 1 if m.group(2) is None else int(m.group(2))
     if power == 0:
         raise ValueError("zero exponent is not allowed")
-    sign = 1 if power > 0 else -1
-    return generators.setdefault((index, sign), BraidGenerator(index, sign)), abs(power)
+    return BraidGenerator(index, 1 if power > 0 else -1), abs(power)
 
 
 def _token_start(text: str, j: int) -> int:

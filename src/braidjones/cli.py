@@ -321,7 +321,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a refused sweep raises here, before --out is opened, so it leaves the file as it was
     records = run_sweep(braid, *grid, prec, with_oracle=args.oracle)
     destination = nullcontext(sys.stdout)
-    if args.out:
+    if args.out is not None:
         try:
             destination = open(args.out, "w", newline="")
         except OSError as exc:

@@ -269,37 +269,33 @@ def _uniform_pair(seed: int, bound: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _probe(work_qubits: int, alpha1: float) -> tuple[DensityOperator, complex]:
-    """The probe state rho_1 and its calibration constant c = z / trace(identity).
+def _probe(dim: int, alpha1: float) -> tuple[DensityOperator, complex]:
+    """The probe state rho_1 for dim x dim unitaries, and its calibration constant c.
 
-    c comes from a noise-free U = identity run on this same rho_1; dividing
-    estimates by it removes any sign or normalization convention of the
-    readout.  Memoised, so a process prepares and calibrates each
-    (size, alpha1) once.  A cache entry holds rho_1, a (2^(n+1))^2 complex
-    matrix (4x4 for the sweep's n = 1), made read-only because every
-    estimate shares it.
+    dim must be a power of two, 2^n: rho_1 spans the control qubit and an
+    n-qubit work register.  c = z / trace(identity) comes from a noise-free
+    U = identity run on this same rho_1; dividing estimates by it removes
+    any sign or normalization convention of the readout.  Memoised, so a
+    process prepares and calibrates each (dim, alpha1) once; a refused dim
+    is checked again on every call, since no error is cached.  A cache
+    entry holds rho_1, a (2*dim)^2 complex matrix (4x4 for the sweep's
+    dim = 2), made read-only because every estimate shares it.
     """
-    rho1 = prepare_rho1(work_qubits + 1, alpha1)
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"need a power-of-two dimension, got {dim}")
+    rho1 = prepare_rho1(dim.bit_length(), alpha1)
     rho1.matrix.setflags(write=False)
-    rho2 = apply_cu(rho1, np.eye(2**work_qubits, dtype=complex))
+    rho2 = apply_cu(rho1, np.eye(dim, dtype=complex))
     z0 = measure_probe(rho2, MeasurementPrecision(epsilon=0.0, alpha1=alpha1))
-    c = z0 / 2**work_qubits
+    c = z0 / dim
     if abs(c) < 1e-300:
         raise ValueError(f"alpha1 {alpha1!r} gives a vanishing calibration constant")
     return rho1, c
 
 
-def _work_qubits(dim: int) -> int:
-    """n with dim = 2^n: the work register that holds a dim x dim unitary."""
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"need a power-of-two dimension, got {dim}")
-    return n
-
-
 def estimate_trace(U: np.ndarray, prec: MeasurementPrecision = MeasurementPrecision()) -> complex:
     """End-to-end trace estimate of a unitary U (checked by controlled_u); exact at epsilon 0."""
-    rho1, c = _probe(_work_qubits(len(U)), prec.alpha1)
+    rho1, c = _probe(len(U), prec.alpha1)
     return measure_probe(apply_cu(rho1, U), prec) / c
 
 
@@ -313,7 +309,7 @@ def trace_error_bound(dim: int, prec: MeasurementPrecision) -> float:
     distribution.  A bound that overflows is refused, with a message that
     starts with the epsilon field.
     """
-    _, c = _probe(_work_qubits(dim), prec.alpha1)
+    _, c = _probe(dim, prec.alpha1)
     bound = math.sqrt(2.0) * prec.epsilon * PROBE_LAMBDA / abs(c)
     if not math.isfinite(bound):
         raise ValueError(

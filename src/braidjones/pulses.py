@@ -7,8 +7,9 @@ Instruction propagators (two spin-1/2 nuclei, 4x4 matrices):
                                          2*Iz*Sz = (sigma_z x sigma_z)/2
     phase angle phi:                     exp(i*phi) * identity
 
-Instructions are listed in time order; the program propagator multiplies
-right to left (the last instruction is the leftmost matrix factor).  The
+A program is a plain tuple of ``PulseInstruction`` in time order; its
+propagator multiplies right to left (the last instruction is the leftmost
+matrix factor), so the empty program is the identity.  The
 ``_TOKENS`` table is the one statement of the printed format's instructions;
 the format is output only.
 
@@ -44,7 +45,6 @@ from .tlrep import ReprParams, rho_generator
 
 __all__ = [
     "PulseInstruction",
-    "PulseProgram",
     "rot",
     "couple",
     "phase",
@@ -105,18 +105,6 @@ def phase(angle: float) -> PulseInstruction:
     return PulseInstruction("phase", angle=angle)
 
 
-@dataclass(frozen=True)
-class PulseProgram:
-    """Time-ordered instruction list."""
-
-    instructions: tuple[PulseInstruction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "instructions", tuple(self.instructions))
-        if not self.instructions:
-            raise ValueError("a pulse program cannot be empty")
-
-
 def check_gate_theta(theta: float) -> None:
     """Refuse a theta outside [0, GATE_THETA_MAX], allowing 1e-12 of rounding."""
     if not -1e-12 <= theta <= GATE_THETA_MAX + 1e-12:
@@ -159,8 +147,10 @@ def pulse_angles(theta: float, which: int) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
-def compile_controlled_s(which: int, theta: float, inverse: bool = False) -> PulseProgram:
-    """Pulse program whose propagator is identity (+) rho(sigma_which).
+def compile_controlled_s(
+    which: int, theta: float, inverse: bool = False
+) -> tuple[PulseInstruction, ...]:
+    """The ten-instruction program whose propagator is identity (+) rho(sigma_which).
 
     theta must lie in [0, pi/6]; with inverse=True the target block is the
     conjugate transpose.  The construction is exact, so verifying against
@@ -175,7 +165,7 @@ def compile_controlled_s(which: int, theta: float, inverse: bool = False) -> Pul
     a = half_sum + half_diff
     c = half_sum - half_diff
     pi = math.pi
-    instructions = (
+    return (
         rot(2, "z", 0.5 * c),
         couple(-0.5 * c),
         rot(2, "y", 0.5 * b),
@@ -187,7 +177,6 @@ def compile_controlled_s(which: int, theta: float, inverse: bool = False) -> Pul
         rot(1, "z", d0),
         phase(0.5 * d0),
     )
-    return PulseProgram(instructions)
 
 
 def _instruction_propagator(instr: PulseInstruction) -> np.ndarray:
@@ -201,15 +190,15 @@ def _instruction_propagator(instr: PulseInstruction) -> np.ndarray:
     return cmath.exp(1j * instr.angle) * np.eye(4, dtype=complex)
 
 
-def simulate_program(p: PulseProgram) -> np.ndarray:
-    """Exact 4x4 propagator of the program (closed-form exponentials only)."""
+def simulate_program(p: tuple[PulseInstruction, ...]) -> np.ndarray:
+    """Exact 4x4 propagator of the instruction tuple (closed-form exponentials only)."""
     u = np.eye(4, dtype=complex)
-    for instr in p.instructions:
+    for instr in p:
         u = _instruction_propagator(instr) @ u
     return u
 
 
-def verify_program(p: PulseProgram, target: np.ndarray) -> float:
+def verify_program(p: tuple[PulseInstruction, ...], target: np.ndarray) -> float:
     """Global-phase-invariant fidelity |trace(target^dagger * U_p)| / dim."""
     t = np.asarray(target, dtype=complex)
     u = simulate_program(p)
@@ -218,10 +207,10 @@ def verify_program(p: PulseProgram, target: np.ndarray) -> float:
     return float(abs(np.trace(t.conj().T @ u)) / u.shape[0])
 
 
-def format_program(p: PulseProgram) -> str:
+def format_program(p: tuple[PulseInstruction, ...]) -> str:
     """One ``_TOKENS`` line per instruction; floats use repr, so no digit is lost."""
     lines = []
-    for ins in p.instructions:
+    for ins in p:
         operands = f"spin={ins.spin} axis={ins.axis} " if ins.kind == "rotation" else ""
         lines.append(f"{_TOKENS[ins.kind]} {operands}angle={ins.angle!r}")
     return "\n".join(lines)

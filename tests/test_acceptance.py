@@ -21,7 +21,6 @@ from braidjones.invariants import bracket_state_sum, evaluate
 from braidjones.nmr import MeasurementPrecision, controlled_u, estimate_trace, trace_error_bound
 from braidjones.pathmodel import AjlParams, two_projector_correspondence_check
 from braidjones.pulses import (
-    PulseProgram,
     compile_controlled_s,
     pulse_angles,
     verify_program,
@@ -209,7 +208,7 @@ def test_criterion_8_pulse_compiler_fidelity():
                 program = compile_controlled_s(which, theta)
                 assert verify_program(program, controlled_u(s)) >= 1.0 - 1e-10
                 inverse = compile_controlled_s(which, theta, inverse=True)
-                both = PulseProgram(program.instructions + inverse.instructions)
+                both = program + inverse
                 assert verify_program(both, np.eye(4)) >= 1.0 - 1e-10
         alpha, beta, gamma = pulse_angles(0.0, 2)
         assert abs(alpha - math.pi / 2) <= 1e-12

@@ -192,6 +192,11 @@ def test_word_alphabet_and_codes():
         assert (other.alphabet, other.codes) == (word.alphabet, word.codes)
         assert other == word and repr(other) == repr(word)
     assert (parse_braid("", 3).alphabet, parse_braid("", 3).codes) == ((), ())
+    # distinct terms that spell one letter give it one alphabet entry
+    spelled = parse_braid("s1 s1^2 s2^-1 s2^-2", 3)
+    assert spelled.alphabet == (BraidGenerator(1, 1), BraidGenerator(2, -1))
+    assert spelled.codes == (0, 0, 0, 1, 1, 1)
+    assert tuple(spelled.alphabet[k] for k in spelled.codes) == spelled.letters
 
 
 def test_parse_refuses_words_over_the_letter_cap():

@@ -253,7 +253,7 @@ def test_sweep_prepares_the_probe_once(monkeypatch):
     run_sweep(preset("borromean"), 0.0, 30.0, 1.0)
     # one shared rho_1 serves the calibration and all 31 gridpoints
     assert calls == 1
-    rho1, _ = braidjones.nmr._probe(1, 1.0)
+    rho1, _ = braidjones.nmr._probe(2, 1.0)
     assert not rho1.matrix.flags.writeable
 
 
@@ -281,7 +281,7 @@ def test_shared_probe_matches_a_fresh_pipeline(letters, theta, epsilon, alpha1, 
     prec = MeasurementPrecision(epsilon=epsilon, alpha1=alpha1, seed=seed)
 
     def fresh():
-        _, c = braidjones.nmr._probe.__wrapped__(1, alpha1)
+        _, c = braidjones.nmr._probe.__wrapped__(2, alpha1)
         return measure_probe(apply_cu(prepare_rho1(2, alpha1), u), prec) / c
 
     estimate = _outcome(lambda: estimate_trace(u, prec))

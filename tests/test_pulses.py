@@ -9,7 +9,6 @@ from braidjones.nmr import SIGMA_Y, SIGMA_Z, controlled_u
 from braidjones.pulses import (
     GATE_THETA_MAX,
     PulseInstruction,
-    PulseProgram,
     check_gate_theta,
     compile_controlled_s,
     couple,
@@ -135,34 +134,34 @@ def test_instruction_validation():
         rot(3, "y", 1.0)
     with pytest.raises(ValueError, match="only an angle"):
         PulseInstruction("coupling", spin=2, angle=1.0)
-    with pytest.raises(ValueError, match="empty"):
-        PulseProgram(())
+    # a program is a plain tuple, and the empty one is not refused: it is the identity
+    assert np.array_equal(simulate_program(()), np.eye(4))
 
 
 def test_simulate_phase_instruction():
-    program = PulseProgram((phase(0.7),))
+    program = (phase(0.7),)
     assert np.allclose(
         simulate_program(program), np.exp(0.7j) * np.eye(4), atol=1e-12
     )
 
 
 def test_simulate_pi_rotation_on_spin_two():
-    program = PulseProgram((rot(2, "y", math.pi),))
+    program = (rot(2, "y", math.pi),)
     block = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert np.allclose(simulate_program(program), np.kron(np.eye(2), block), atol=1e-12)
 
 
 def test_simulate_pi_coupling():
-    program = PulseProgram((couple(math.pi),))
+    program = (couple(math.pi),)
     expected = np.diag(np.exp(-0.5j * math.pi * np.array([1.0, -1.0, -1.0, 1.0])))
     assert np.allclose(simulate_program(program), expected, atol=1e-12)
 
 
 def test_simulate_is_time_ordered():
     # y then z must equal Rz @ Ry on spin 2
-    program = PulseProgram((rot(2, "y", 0.5), rot(2, "z", 0.8)))
-    ry = simulate_program(PulseProgram((rot(2, "y", 0.5),)))
-    rz = simulate_program(PulseProgram((rot(2, "z", 0.8),)))
+    program = (rot(2, "y", 0.5), rot(2, "z", 0.8))
+    ry = simulate_program((rot(2, "y", 0.5),))
+    rz = simulate_program((rot(2, "z", 0.8),))
     assert np.allclose(simulate_program(program), rz @ ry, atol=1e-12)
 
 
@@ -190,7 +189,7 @@ def test_forward_inverse_composes_to_identity():
     for which in (1, 2):
         fwd = compile_controlled_s(which, math.pi / 12)
         bwd = compile_controlled_s(which, math.pi / 12, inverse=True)
-        both = PulseProgram(fwd.instructions + bwd.instructions)
+        both = fwd + bwd
         assert verify_program(both, np.eye(4)) >= 1.0 - 1e-10
 
 
