@@ -17,10 +17,11 @@ them once per pair and every estimate shares them; each estimate builds
 and checks its own cU and rho_2.  Noise is a seeded uniform perturbation in
 [-epsilon*Lambda, +epsilon*Lambda] per quadrature (uniform, not Gaussian,
 because the precision contract is a hard bound), so the rescaled estimate
-always satisfies |estimate - trace(U)| <= sqrt(2)*epsilon*Lambda/|c|.  The
-two draws are numpy's ``default_rng(seed)`` PCG64 stream, computed in this
-module with integer arithmetic, so a noisy estimate never imports
-numpy.random and its bits do not follow numpy's stream policy.
+always satisfies |estimate - trace(U)| <= sqrt(2)*epsilon*Lambda/|c|, up
+to float rounding.  The two draws are numpy's ``default_rng(seed)`` PCG64
+stream, computed in this module with integer arithmetic, so a noisy
+estimate never imports numpy.random and its bits do not follow numpy's
+stream policy.
 
 rho_1 is the first-order (high-temperature) deviation form used verbatim:
 its eigenvalues are (1 -+ alpha_1/2)/N, so it is positive only for
@@ -294,7 +295,10 @@ def _probe(dim: int, alpha1: float) -> tuple[DensityOperator, complex]:
 
 
 def estimate_trace(U: np.ndarray, prec: MeasurementPrecision = MeasurementPrecision()) -> complex:
-    """End-to-end trace estimate of a unitary U (checked by controlled_u); exact at epsilon 0."""
+    """End-to-end trace estimate of a unitary U (checked by controlled_u).
+
+    At epsilon 0 it equals trace(U) up to float rounding: a few ulps of sum |U_ii|.
+    """
     rho1, c = _probe(len(U), prec.alpha1)
     return measure_probe(apply_cu(rho1, U), prec) / c
 
@@ -304,10 +308,12 @@ def trace_error_bound(dim: int, prec: MeasurementPrecision) -> float:
 
     Each quadrature of the raw measurement errs by at most
     epsilon*PROBE_LAMBDA, and the estimate divides by the calibration
-    constant c, so the bound is sqrt(2)*epsilon*PROBE_LAMBDA/|c|.  Zero
-    violations are expected: the precision contract is a hard bound, not a
-    distribution.  A bound that overflows is refused, with a message that
-    starts with the epsilon field.
+    constant c, so the bound is sqrt(2)*epsilon*PROBE_LAMBDA/|c|.  The noise
+    never exceeds it, since the precision contract is a hard bound, not a
+    distribution; the float rounding of the pipeline is not in it, and the
+    sweep gate (``cli._check_records``) adds its own allowance for that.  A
+    bound that overflows is refused, with a message that starts with the
+    epsilon field.
     """
     _, c = _probe(dim, prec.alpha1)
     bound = math.sqrt(2.0) * prec.epsilon * PROBE_LAMBDA / abs(c)

@@ -13,11 +13,13 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import braidjones.cli
 import braidjones.invariants
 import braidjones.tlrep
-from braidjones.braid import parse_braid
+from braidjones.braid import BraidGenerator, BraidWord, parse_braid
 from braidjones.cli import (
     CSV_COLUMNS,
     SweepRecord,
@@ -670,6 +672,41 @@ def test_check_records_flags_non_finite_fields(name):
     assert any(p.endswith(f": non-finite {name}") for p in problems)
 
 
+def test_check_records_holds_an_exact_readout_to_the_rounding_allowance():
+    (record,) = run_sweep(preset("trefoil"), 5.0, 5.0, 1.0)
+    assert record.eq9_bound == 0.0
+    drifted = dataclasses.replace(record, trace_nmr=record.trace + 1e-12)
+    assert _check_records([drifted]) == (
+        ["theta=5.0 deg: |trace - trace_nmr| = 1.000e-12 > 1.776e-15"], None
+    )
+
+
+@settings(deadline=None)
+@given(
+    letters=st.lists(
+        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
+        max_size=40,
+    ),
+    theta=st.sampled_from(braidjones.tlrep.ADMISSIBLE_INTERVALS).flatmap(
+        lambda iv: st.sampled_from(iv) | st.floats(*iv)
+    ),
+    epsilon=st.just(0.0) | st.floats(-320.0, -1.0).map(lambda u: 10.0**u),
+    alpha1=st.floats(-299.0, 308.0).map(lambda u: 10.0**u),
+    seed=st.integers(0, 2**128),
+)
+def test_check_records_passes_every_estimate_within_its_bound_and_rounding(
+    letters, theta, epsilon, alpha1, seed
+):
+    deg = math.degrees(theta)
+    try:
+        prec = MeasurementPrecision(epsilon=epsilon, alpha1=alpha1, seed=seed)
+        records = run_sweep(BraidWord(3, tuple(letters)), deg, deg, 1.0, prec)
+    except ValueError:
+        reject()
+    problems, _ = _check_records(records)
+    assert not [p for p in problems if "|trace - trace_nmr|" in p]
+
+
 def test_run_sweep_keeps_grid_order_and_seeds_row_k_with_seed_plus_k():
     word = preset("figure8")
     rows = run_sweep(word, 0.0, 30.0, 15.0, MeasurementPrecision(epsilon=1e-3, seed=3))
@@ -690,13 +727,6 @@ def test_run_sweep_converts_each_angle_once(monkeypatch):
     monkeypatch.setattr(braidjones.cli, "math", types.SimpleNamespace(**{**vars(math), "radians": radians}))
     run_sweep(preset("trefoil"), 0.0, 10.0, 5.0)
     assert calls == [0.0, 5.0, 10.0]
-
-
-def test_cli_sweep_gates_an_underflowed_bound_as_exact(capsys):
-    # eq9_bound underflows to 0 at epsilon 5e-324: the rows are held to the exact tolerance
-    argv = ["sweep", "--preset", "borromean", "--epsilon", "5e-324", "--alpha1", "100"]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == "31 gridpoints, 0 violations\n"
 
 
 @pytest.mark.parametrize(
@@ -918,12 +948,9 @@ def test_cli_sweep_into_a_closed_pipe_is_bad_input():
     assert err == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
 
 
-# correct input that the sweep fails, with a violation (exit 1) or a false refusal (exit 2);
-# each case names the ROADMAP item whose fix makes it pass, and strict mode then asks for
-# its marker to go
-_ROUNDING = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 4: eq9_bound leaves out float rounding"
-)
+# correct input that the sweep must pass with exit 0; a case it still fails, with a
+# violation (exit 1) or a false refusal (exit 2), is a strict xfail that names the ROADMAP
+# item whose fix makes it pass, and strict mode then asks for its marker to go
 _STATE_SUM = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 3: the 2^c state sum loses 1.4e-9 to rounding"
 )
@@ -938,10 +965,18 @@ _FOUND_WORD = (
 @pytest.mark.parametrize(
     "argv",
     [
+        # float rounding of about 1e-16 against an eq9_bound far below it
         pytest.param(["--preset", "borromean", "--epsilon", "1e-300", "--alpha1", "0.3"],
-                     marks=_ROUNDING, id="tiny-epsilon"),
+                     id="tiny-epsilon"),
         pytest.param(["--preset", "trefoil", "--alpha1", "1e308", "--epsilon", "1e-3",
-                      "--theta-max-deg", "2"], marks=_ROUNDING, id="huge-alpha1"),
+                      "--theta-max-deg", "2"], id="huge-alpha1"),
+        pytest.param(["--preset", "borromean", "--epsilon", "1e-17"], id="epsilon-1e-17"),
+        pytest.param(["--preset", "figure8", "--epsilon", "1e-3", "--alpha1", "1e200"],
+                     id="alpha1-1e200"),
+        # eq9_bound underflows to 0 at epsilon 5e-324: the rows are held to the rounding
+        # allowance alone, as at epsilon 0
+        pytest.param(["--preset", "borromean", "--epsilon", "5e-324", "--alpha1", "100"],
+                     id="underflowed-bound"),
         pytest.param(["--braid", _FOUND_WORD, "--oracle", "--theta-max-deg", "1"],
                      marks=_STATE_SUM, id="20-letter-oracle"),
         pytest.param(["--braid", " ".join(["s1 s2^-1"] * 5000)],
