@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 # every submodule but the launcher, __main__, which exports no names; numpy-free first,
 # then in dependency order
-_SUBMODULES = ("braid", "cli", "tlrep", "nmr", "invariants", "pulses", "pathmodel")
+_SUBMODULES = ("braid", "cli", "nmr", "tlrep", "invariants", "pulses", "pathmodel")
 
 
 def _lazy(name):

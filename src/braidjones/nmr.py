@@ -26,6 +26,15 @@ stream policy.
 rho_1 is the first-order (high-temperature) deviation form used verbatim:
 its eigenvalues are (1 -+ alpha_1/2)/N, so it is positive only for
 alpha_1 <= 2, and positivity is not enforced.
+
+One hand-set number, ``_TOL`` = 1e-12, decides whether a matrix is unitary
+or physical enough; every other bound on that fact, here and in ``tlrep``
+and ``pulses``, is derived from it.  ``controlled_u`` is the one unitarity
+check on the simulator path: it admits U within 2*_TOL of U^dagger U = I,
+less a rounding margin, so no U it admits trips the unit-trace check of
+rho_2.  ``DensityOperator`` holds a matrix a caller passes in to _TOL in
+Hermiticity and in unit trace.  Each check is written ``not (x <= bound)``,
+so NaN and infinite entries are refused, and its message gives x.
 """
 
 from __future__ import annotations
@@ -60,8 +69,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # eigenvalue spread of the probe operators I_1x and I_1y (eigenvalues +-1/2)
 PROBE_LAMBDA = 1.0
 
-_HERMITIAN_TOL = 1e-12
-_UNITARY_TOL = 1e-10
+# the one hand-set tolerance on "unitary enough" and "physical enough" (module docstring)
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,10 +114,10 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for {self.qubits} qubits")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
-            raise ValueError("density operator must be Hermitian")
-        if abs(np.trace(mat) - 1.0) > _HERMITIAN_TOL:
-            raise ValueError("density operator must have unit trace")
+        if not (skew := np.max(np.abs(mat - mat.conj().T))) <= _TOL:
+            raise ValueError(f"density operator must be Hermitian: max |M - M^dagger| = {skew:.3e}")
+        if not (drift := abs(np.trace(mat) - 1.0)) <= _TOL:
+            raise ValueError(f"density operator must have unit trace: |trace M - 1| = {drift:.3e}")
 
 
 @lru_cache(maxsize=None)
@@ -145,13 +154,26 @@ def prepare_rho1(m: int, alpha1: float) -> DensityOperator:
 
 
 def controlled_u(U: np.ndarray) -> np.ndarray:
-    """Block unitary identity (+) U: acts as U only when the probe is |1>; checks U."""
+    """Block unitary identity (+) U: acts as U only when the probe is |1>; checks U.
+
+    The simulator's one unitarity check.  U is refused, NaN and infinite
+    entries included, unless max|U^dagger U - I| is at most 2*_TOL less
+    dim * 2^-50 of rounding margin; the message gives the defect and the
+    bound.  No U it admits trips ``DensityOperator``'s unit-trace check in
+    ``apply_cu``.
+    """
     u = np.asarray(U, dtype=complex)
     dim = u.shape[0]
     if u.ndim != 2 or u.shape != (dim, dim):
         raise ValueError("expected a square matrix")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > _UNITARY_TOL:
-        raise ValueError("matrix is not unitary")
+    # On apply_cu's state tr rho_2 - 1 = tr(U^dagger U - I) / (2*dim), at most half the
+    # largest defect, so a defect within 2*_TOL keeps rho_2 within _TOL of unit trace.
+    # Computed, tr rho_2 and the diagonal of U^dagger U are sums of 2*dim and dim rounded
+    # terms of about 1/(2*dim) and 1, so tr rho_2 - 1 exceeds half the measured defect by
+    # less than 1.5*dim ulps of 1; the bound gives up 4*dim ulps of defect to cover that.
+    tol = 2 * _TOL - dim * 2**-50
+    if not (err := np.max(np.abs(u.conj().T @ u - np.eye(dim)))) <= tol:
+        raise ValueError(f"matrix is not unitary: max |U^dagger U - I| = {err:.3e} > {tol:.3e}")
     cu = np.zeros((2 * dim, 2 * dim), dtype=complex)
     cu[:dim, :dim] = np.eye(dim)
     cu[dim:, dim:] = u

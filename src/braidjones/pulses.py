@@ -41,7 +41,7 @@ import numpy as np
 
 from .braid import BraidGenerator
 from .nmr import SIGMA_Y, SIGMA_Z
-from .tlrep import ReprParams, rho_generator
+from .tlrep import _ANGLE_SLOP, ReprParams, rho_generator
 
 __all__ = [
     "PulseInstruction",
@@ -106,8 +106,14 @@ def phase(angle: float) -> PulseInstruction:
 
 
 def check_gate_theta(theta: float) -> None:
-    """Refuse a theta outside [0, GATE_THETA_MAX], allowing 1e-12 of rounding."""
-    if not -1e-12 <= theta <= GATE_THETA_MAX + 1e-12:
+    """Refuse a theta outside [0, GATE_THETA_MAX], NaN included.
+
+    Each end allows ``tlrep``'s endpoint slop, 1.44e-13 rad, derived from
+    nmr's one unitarity tolerance.  At pi/6 ``ReprParams`` admits that slop
+    and a little rounding more, so a theta it would refuse there is refused
+    here first, and the CLI's refusal names ``--theta-deg``.
+    """
+    if not -_ANGLE_SLOP <= theta <= GATE_THETA_MAX + _ANGLE_SLOP:
         raise ValueError(f"theta must lie in [0, pi/6], got {theta!r}")
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .braid import BraidGenerator, BraidWord
+from .nmr import _TOL
 
 __all__ = [
     "ADMISSIBLE_INTERVALS",
@@ -52,10 +53,18 @@ ADMISSIBLE_INTERVALS: tuple[tuple[float, float], ...] = (
     (11 * math.pi / 6, 2 * math.pi),
 )
 
-# A 1e-12 rad slop at every endpoint, in delta: |d delta / d theta| =
-# 4*|sin(2*theta)| is 2*sqrt(3) wherever |delta| = 1, so 1e-12 rad moves delta
-# by 3.46e-12; the rest covers rounding in cos and in the endpoint's float form.
-_DELTA_SLOP = 3.5e-12
+# The endpoint slop, from nmr's one tolerance.  |d delta / d theta| = 4*|sin(2*theta)| is
+# 2*sqrt(3) wherever |delta| = 1, so at distance d into a gap |delta| misses 1 by
+# s = 2*sqrt(3)*d, and a sigma_2 image misses unitarity by 2*s.  So an angle slop of
+# _TOL/(4*sqrt(3)), 1.44e-13 rad, holds every letter image to _TOL, half of
+# controlled_u's bound.  In delta that is _TOL/2, and 2^-46 (64 ulps of 1) more covers
+# rounding: an ulp of theta below 2*pi moves delta by 14 ulps of 1, and an endpoint's
+# float form (an ADMISSIBLE_INTERVALS constant or math.radians of its degrees) misses
+# |delta| = 1 by up to 8, at 330 degrees; adding an offset to it or sending it through
+# degrees rounds theta again.  So no admitted letter image misses unitarity by more than
+# 2*_DELTA_SLOP = 1.03e-12; within the slop of the float forms the worst measured is 1.007e-12.
+_ANGLE_SLOP = _TOL / (4 * math.sqrt(3))
+_DELTA_SLOP = 2 * math.sqrt(3) * _ANGLE_SLOP + 2**-46
 
 
 def delta_from_theta(theta: float) -> float:
@@ -68,9 +77,12 @@ def is_admissible(theta: float) -> bool:
 
     This is the unitarity rule itself, judged on the same float delta that
     ``ReprParams`` and ``build_U`` use, however large theta is; modulo 2*pi
-    it is the closed union in ADMISSIBLE_INTERVALS.  A slop of 3.5e-12 in
-    delta, about 1e-12 rad at every endpoint, absorbs the rounding of inputs
-    like ``math.radians(30)``.  Infinite and NaN theta are not admissible.
+    it is the closed union in ADMISSIBLE_INTERVALS.  A slop of _TOL/2 in
+    delta, _TOL/(4*sqrt(3)) = 1.44e-13 rad at every endpoint, plus a rounding
+    allowance, absorbs the rounding of inputs like ``math.radians(30)`` and
+    holds every admitted letter image to about _TOL, nmr's one unitarity
+    tolerance; 1e-12 rad into a gap is refused.  Infinite and NaN theta are
+    not admissible.
     """
     return math.isfinite(theta) and abs(delta_from_theta(theta)) >= 1.0 - _DELTA_SLOP
 

@@ -30,6 +30,8 @@ from braidjones.cli import (
     run_sweep,
 )
 from braidjones.nmr import MeasurementPrecision
+from braidjones.pulses import GATE_THETA_MAX
+from braidjones.tlrep import _ANGLE_SLOP, ADMISSIBLE_INTERVALS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -335,11 +337,42 @@ def test_cli_gate_commands_name_the_theta_flag(command, deg, capsys):
     assert captured.err == f"error: --theta-deg must lie in [0, 30], got {float(deg)!r}\n"
 
 
-@pytest.mark.parametrize("deg, status", (("-1e-11", 0), ("30.00000000001", 0), ("30.000000001", 2)))
-def test_cli_gate_commands_take_the_domain_pulses_takes(deg, status, capsys):
-    # pulses allows 1e-12 rad (5.7e-11 deg) of rounding past each end; the CLI refuses no less
-    assert main(["angles", f"--theta-deg={deg}", "--which", "2"]) == status
-    assert (capsys.readouterr().err == "") == (status == 0)
+@pytest.mark.parametrize("command", ("angles", "compile"))
+@pytest.mark.parametrize("slops, status", ((1, 0), (2, 2)))
+def test_cli_gate_commands_take_the_domain_pulses_takes(command, slops, status, capsys):
+    # pulses allows one endpoint slop of rounding past each end and the CLI refuses no less;
+    # two slops past are refused with the flag's message, never with ReprParams' refusal
+    for theta in (-slops * _ANGLE_SLOP, GATE_THETA_MAX + slops * _ANGLE_SLOP):
+        deg = math.degrees(theta)
+        assert main([command, f"--theta-deg={deg!r}", "--which", "2"]) == status
+        refusal = f"error: --theta-deg must lie in [0, 30], got {deg!r}\n"
+        assert capsys.readouterr().err == ("" if status == 0 else refusal)
+
+
+# each endpoint's float forms: its ADMISSIBLE_INTERVALS constant and math.radians of its degrees
+ENDPOINT_FORMS = sorted(
+    {x for interval in ADMISSIBLE_INTERVALS for x in interval}
+    | {math.radians(d) for d in (0, 30, 60, 120, 150, 210, 240, 300, 330, 360)}
+)
+GAPS = [(hi, lo) for (_, hi), (lo, _) in zip(ADMISSIBLE_INTERVALS, ADMISSIBLE_INTERVALS[1:])]
+
+
+@pytest.mark.parametrize("endpoint", ENDPOINT_FORMS)
+def test_one_letter_sweeps_take_the_endpoint_slop_and_refuse_the_gaps(endpoint, capsys):
+    def sweep(letter, theta):
+        deg = math.degrees(theta)
+        return main(["sweep", "--braid", letter, f"--theta-min-deg={deg!r}",
+                     f"--theta-max-deg={deg!r}"])
+
+    for theta in (endpoint - _ANGLE_SLOP, endpoint + _ANGLE_SLOP):
+        for letter in ("s1", "s2", "s1^-1", "s2^-1"):
+            assert sweep(letter, theta) == 0
+    capsys.readouterr()
+    # 1e-12 rad is about seven slops
+    for theta in (endpoint - 1e-12, endpoint + 1e-12):
+        if any(lo < theta < hi for lo, hi in GAPS):
+            assert sweep("s2", theta) == 2
+            assert "outside the admissible angle set" in capsys.readouterr().err
 
 
 # each command with its required flags; a flag given again later wins
@@ -955,7 +988,7 @@ _STATE_SUM = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 3: the 2^c state sum loses 1.4e-9 to rounding"
 )
 _LONG_WORD = pytest.mark.xfail(
-    strict=True, reason="ROADMAP items 4 and 13: 10^4 letters fail the unit-trace check"
+    strict=True, reason="ROADMAP items 4 and 13: 10^4 letters fail the unitarity check"
 )
 _FOUND_WORD = (
     "s1 s2^-1 s2^-1 s2 s2 s2 s1^-1 s2^-1 s1 s1 s2^-1 s2 s2^-1 s1 s2 s1^-1 s1 s2^-1 s2^-1 s1"

@@ -42,10 +42,14 @@ def test_prepare_rho1_blocks():
 
 
 def test_density_operator_validation():
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityOperator(1, np.array([[0.5, 1.0], [0.0, 0.5]]))
-    with pytest.raises(ValueError, match="unit trace"):
-        DensityOperator(1, np.eye(2))
+    # each message gives the measured deviation
+    with pytest.raises(ValueError) as refused:
+        DensityOperator(1, np.array([[0.5, 1e-11], [0.0, 0.5]]))
+    message = "density operator must be Hermitian: max |M - M^dagger| = 1.000e-11"
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        DensityOperator(1, np.diag([0.5, 0.5 + 3e-12]))
+    assert str(refused.value) == "density operator must have unit trace: |trace M - 1| = 3.000e-12"
 
 
 def test_controlled_u_examples():
@@ -63,6 +67,11 @@ def test_controlled_u_examples():
     assert np.allclose(controlled_u(sx), cnot, atol=1e-12)
     s1 = rho_word(parse_braid("s1", 3), ReprParams.from_theta(0.0))
     assert np.allclose(controlled_u(s1), np.diag([1.0, 1.0, -1.0, 1.0]), atol=1e-12)
+    # (1 + 1.5e-12)^2 - 1 = 3e-12, against 2*_TOL less a 2 * 2^-50 rounding margin
+    with pytest.raises(ValueError) as refused:
+        controlled_u(np.diag([1.0 + 1.5e-12, 1.0]))
+    message = "matrix is not unitary: max |U^dagger U - I| = 3.000e-12 > 1.998e-12"
+    assert str(refused.value) == message
     with pytest.raises(ValueError, match="unitary"):
         controlled_u(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
@@ -156,6 +165,54 @@ def test_estimate_trace_rejects_bad_input():
         estimate_trace(np.eye(3))
     with pytest.raises(ValueError, match="unitary"):
         estimate_trace(2.0 * np.eye(2))
+
+
+def _near_unitary(dim, kind, size, seed):
+    """A random unitary perturbed by about ``size``: scaled, times I + size*H, or plus size*P."""
+    rng = np.random.default_rng(seed)
+    v = _random_unitary(rng, dim)
+    if kind == "scalar":
+        return v * (1.0 + size)
+    e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if kind == "hermitian":
+        e = e + e.conj().T
+        return v @ (np.eye(dim) + size * e / np.max(np.abs(e)))
+    return v + size * e / np.max(np.abs(e))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    dim=st.sampled_from((2, 4)),
+    kind=st.sampled_from(("scalar", "hermitian", "additive")),
+    # the second range puts a scalar defect, 2*size, within rounding of controlled_u's bound
+    size=st.floats(1e-13, 1e-11) | st.floats(0.999e-12, 1.001e-12),
+    seed=st.integers(0, 2**32 - 1),
+)
+# at a bound of exactly 2*_TOL these two pass controlled_u and trip the unit-trace check
+@example(dim=2, kind="scalar", size=1e-12, seed=0)
+@example(dim=4, kind="scalar", size=9.998889776975375e-13, seed=15)
+def test_controlled_u_is_the_one_unitarity_check(dim, kind, size, seed):
+    u = _near_unitary(dim, kind, size, seed)
+    try:
+        rho2 = apply_cu(prepare_rho1(dim.bit_length(), 1.0), u)
+    except ValueError as exc:
+        assert str(exc).startswith("matrix is not unitary: ")
+    else:
+        assert abs(np.trace(rho2.matrix) - 1.0) <= braidjones.nmr._TOL
+
+
+# inf - inf warns on its way to the NaN that each check refuses
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_nan_and_inf_matrices_are_refused(bad):
+    for u in (np.diag([bad, 1.0]), np.array([[1.0, bad], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            controlled_u(u)
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            estimate_trace(u)
+    for rho in (np.diag([bad, 0.5]), np.array([[0.5, bad], [bad, 0.5]])):
+        with pytest.raises(ValueError, match="density operator must"):
+            DensityOperator(1, rho)
 
 
 def test_apply_cu_refuses_a_non_unitary_u_before_its_size():

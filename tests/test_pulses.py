@@ -20,7 +20,7 @@ from braidjones.pulses import (
     simulate_program,
     verify_program,
 )
-from braidjones.tlrep import ReprParams, rho_generator
+from braidjones.tlrep import _ANGLE_SLOP, ReprParams, rho_generator
 
 
 def _target(which, theta, inverse=False):
@@ -72,9 +72,11 @@ def test_pulse_angles_domain():
 
 
 def test_check_gate_theta_allows_rounding_at_the_ends_only():
-    for theta in (-1e-12, 0.0, GATE_THETA_MAX, GATE_THETA_MAX + 1e-12):
+    # one endpoint slop past each end, as tlrep admits, and not two
+    for theta in (-_ANGLE_SLOP, 0.0, GATE_THETA_MAX, GATE_THETA_MAX + _ANGLE_SLOP):
         check_gate_theta(theta)
-    for theta in (-2e-12, GATE_THETA_MAX + 2e-12, math.nan, math.inf, -math.inf):
+    past = (-2 * _ANGLE_SLOP, GATE_THETA_MAX + 2 * _ANGLE_SLOP)
+    for theta in (*past, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/6\]"):
             check_gate_theta(theta)
 

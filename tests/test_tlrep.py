@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from braidjones.braid import BraidGenerator, BraidWord, invert, parse_braid
 from braidjones.nmr import controlled_u
 from braidjones.tlrep import (
+    _ANGLE_SLOP,
     _DELTA_SLOP,
     ADMISSIBLE_INTERVALS,
     ReprParams,
@@ -106,13 +107,21 @@ ENDPOINTS_RAD = sorted({x for interval in ADMISSIBLE_INTERVALS for x in interval
     + [x + o for x in ENDPOINTS_RAD for o in (-1e-12, 1e-12)],
 )
 def test_endpoints_give_real_generators_and_unitary_images(theta):
-    # within is_admissible's slop a negative 1 - delta^-2 is rounding, not a gap angle
-    assert is_admissible(theta)
-    params = ReprParams(theta)
-    assert all(np.isrealobj(u) for u in params.generators)
-    for index in (1, 2):
-        for sign in (1, -1):
-            controlled_u(rho_generator(BraidGenerator(index, sign), params))
+    # theta is an endpoint's float form or 1e-12 rad, about 7 slops, from one.  Within one
+    # slop of it, off a gap, a negative 1 - delta^-2 is rounding: the generators are real and
+    # every letter image passes controlled_u.  Two slops into a gap are refused.
+    for t in (theta + k * _ANGLE_SLOP for k in (-2, -1, 0, 1, 2)):
+        if any(lo + 1.5 * _ANGLE_SLOP < t < hi - 1.5 * _ANGLE_SLOP for lo, hi in GAPS):
+            assert not is_admissible(t)
+            with pytest.raises(ValueError, match="outside the admissible angle set"):
+                ReprParams(t)
+            continue
+        assert is_admissible(t)
+        params = ReprParams(t)
+        assert all(np.isrealobj(u) for u in params.generators)
+        for index in (1, 2):
+            for sign in (1, -1):
+                controlled_u(rho_generator(BraidGenerator(index, sign), params))
 
 
 def test_repr_params_derives_everything_from_theta():
@@ -282,9 +291,15 @@ def test_rho_word_hashes_no_letter(monkeypatch):
 
 @pytest.mark.parametrize("degrees", ENDPOINTS_DEG)
 def test_degree_endpoints_admit_a_symmetric_slop(degrees):
-    for theta in (math.radians(degrees) - 1e-12, math.radians(degrees) + 1e-12):
-        assert is_admissible(theta)
-        ReprParams(theta)
+    # both float forms of the endpoint: math.radians of its degrees and its
+    # ADMISSIBLE_INTERVALS constant; two slops past either is refused if that is in a gap
+    constant = min(ENDPOINTS_RAD, key=lambda x: abs(x - math.radians(degrees)))
+    for endpoint in (math.radians(degrees), constant):
+        for theta in (endpoint - _ANGLE_SLOP, endpoint + _ANGLE_SLOP):
+            assert is_admissible(theta)
+            ReprParams(theta)
+        for theta in (endpoint - 2 * _ANGLE_SLOP, endpoint + 2 * _ANGLE_SLOP):
+            assert is_admissible(theta) == (not any(lo < theta < hi for lo, hi in GAPS))
 
 
 @pytest.mark.parametrize("gap", GAPS)
