@@ -21,7 +21,9 @@ always satisfies |estimate - trace(U)| <= sqrt(2)*epsilon*Lambda/|c|, up
 to float rounding.  The two draws are numpy's ``default_rng(seed)`` PCG64
 stream, computed in this module with integer arithmetic, so a noisy
 estimate never imports numpy.random and its bits do not follow numpy's
-stream policy.
+stream policy.  SeedSequence's hash and mix steps are each written once
+(``_hashmix`` and ``_mix``), and ``_uniform_pair`` runs them in numpy's
+own mix_entropy and generate_state loops.
 
 rho_1 is the first-order (high-temperature) deviation form used verbatim:
 its eigenvalues are (1 -+ alpha_1/2)/N, so it is positive only for
@@ -34,7 +36,8 @@ check on the simulator path: it admits U within 2*_TOL of U^dagger U = I,
 less a rounding margin, so no U it admits trips the unit-trace check of
 rho_2.  ``DensityOperator`` holds a matrix a caller passes in to _TOL in
 Hermiticity and in unit trace.  Each check is written ``not (x <= bound)``,
-so NaN and infinite entries are refused, and its message gives x.
+so NaN and infinite entries are refused, without numpy's invalid-value
+warning, and its message gives x.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -114,7 +118,9 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for {self.qubits} qubits")
-        if not (skew := np.max(np.abs(mat - mat.conj().T))) <= _TOL:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check refuses
+            skew = np.abs(mat - mat.conj().T).max()
+        if not skew <= _TOL:
             raise ValueError(f"density operator must be Hermitian: max |M - M^dagger| = {skew:.3e}")
         if not (drift := abs(np.trace(mat) - 1.0)) <= _TOL:
             raise ValueError(f"density operator must have unit trace: |trace M - 1| = {drift:.3e}")
@@ -172,10 +178,12 @@ def controlled_u(U: np.ndarray) -> np.ndarray:
     # terms of about 1/(2*dim) and 1, so tr rho_2 - 1 exceeds half the measured defect by
     # less than 1.5*dim ulps of 1; the bound gives up 4*dim ulps of defect to cover that.
     tol = 2 * _TOL - dim * 2**-50
-    if not (err := np.max(np.abs(u.conj().T @ u - np.eye(dim)))) <= tol:
+    # one identity serves twice: as the I that U^dagger U is held to, then as cU's upper block
+    cu = np.eye(2 * dim, dtype=complex)
+    with np.errstate(invalid="ignore"):  # an inf entry makes NaN, which the check refuses
+        err = np.abs(u.conj().T @ u - cu[:dim, :dim]).max()
+    if not err <= tol:
         raise ValueError(f"matrix is not unitary: max |U^dagger U - I| = {err:.3e} > {tol:.3e}")
-    cu = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    cu[:dim, :dim] = np.eye(dim)
     cu[dim:, dim:] = u
     return cu
 
@@ -221,61 +229,53 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash_constants(h: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
-    """SeedSequence's first n hash steps as (xor, multiplier) pairs.
+def _hashmix(value: int, h: int, mult: int) -> tuple[int, int]:
+    """SeedSequence's hash step on a uint32: (hashed value, next hash constant).
 
-    Each step's multiplier is the next step's xor: h, h*mult, h*mult^2, ... mod 2^32.
+    Xor with h, advance h to h*mult, multiply by it, xorshift by 16, mod 2^32.
     """
-    steps = []
-    for _ in range(n):
-        steps.append((h, h * mult & _MASK32))
-        h = steps[-1][1]
-    return tuple(steps)
+    h_next = h * mult & _MASK32
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> 16, h_next
 
 
-# a seed of up to four words takes 16 steps of stream A (4 to fill the pool, 12 to mix
-# each pool word into each other one, in _POOL_MIX's order); generate_state takes 8 of B
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
-_POOL_MIX = tuple(
-    (src, dst) + _HASH_A[4 + k]
-    for k, (src, dst) in enumerate((s, d) for s in range(4) for d in range(4) if s != d)
-)
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of pool word x with hashed word y, mod 2^32."""
+    v = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return v ^ v >> 16
 
 
 def _uniform_pair(seed: int, bound: float) -> tuple[float, float]:
     """numpy's ``default_rng(seed).uniform(-bound, bound, size=2)``, bit for bit.
 
-    SeedSequence hashes the seed's little-endian uint32 words into a pool of
-    four and mixes it; generate_state(4, uint64) expands the pool into
-    PCG64's 128-bit state and increment; each draw scales the top 53 bits of
-    one XSL-RR output.  The work is integer arithmetic, so no platform or
-    BLAS choice moves a bit, and numpy.random is never imported.
+    Written as numpy writes it.  SeedSequence's mix_entropy hashes the
+    seed's little-endian uint32 words (zero-padded to four) into a pool of
+    four, mixes each pool word into each other one, then hashes each word
+    past the fourth into every pool word; one hash stream, A, runs through
+    all of it.  generate_state(4, uint64) hashes the pool twice round on
+    stream B into PCG64's 128-bit state and increment; each draw scales the
+    top 53 bits of one XSL-RR output.  The work is integer arithmetic, so
+    no platform or BLAS choice moves a bit, and numpy.random is never
+    imported.
     """
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    pool = []
-    for w, (x, m) in zip(words + [0, 0, 0], _HASH_A[:4]):
-        v = (w ^ x) * m & _MASK32
-        pool.append(v ^ v >> 16)
-    for src, dst, x, m in _POOL_MIX:
-        v = (pool[src] ^ x) * m & _MASK32
-        v = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-        pool[dst] = v ^ v >> 16
-    # words past the fourth are hashed into every pool word, continuing stream A
-    h = _HASH_A[-1][1]
+    words = [seed >> i & _MASK32 for i in range(0, max(seed.bit_length(), 1), 32)]
+    # mix_entropy on hash stream A: fill the pool, mix it, hash in the words past the fourth
+    pool, h = [], _INIT_A
+    for w in (words + [0, 0, 0])[:4]:
+        v, h = _hashmix(w, h, _MULT_A)
+        pool.append(v)
+    for src, dst in permutations(range(4), 2):  # numpy's order: by src, then dst != src
+        v, h = _hashmix(pool[src], h, _MULT_A)
+        pool[dst] = _mix(pool[dst], v)
     for w in words[4:]:
         for dst in range(4):
-            v = w ^ h
-            h = h * _MULT_A & _MASK32
-            v = v * h & _MASK32
-            v = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-            pool[dst] = v ^ v >> 16
-    state = []
-    for p, (x, m) in zip(pool + pool, _HASH_B):
-        v = (p ^ x) * m & _MASK32
-        state.append(v ^ v >> 16)
+            v, h = _hashmix(w, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], v)
+    # generate_state(4, uint64) on hash stream B: eight uint32 words, cycling the pool
+    state, h = [], _INIT_B
+    for p in pool + pool:
+        v, h = _hashmix(p, h, _MULT_B)
+        state.append(v)
     # uint32 pairs are little-endian uint64s: the first two make initstate, the last two initseq
     s0, s1, s2, s3, s4, s5, s6, s7 = state
     inc = (s5 << 96 | s4 << 64 | s7 << 32 | s6) << 1 & _MASK128 | 1

@@ -112,13 +112,15 @@ def test_measure_probe_reproducible_and_bounded():
 
 
 @given(
-    seed=st.integers(0, 2**200),
+    seed=st.integers(0, 2**320),
     bound=st.sampled_from((5e-324, 1e-3, 5e307)) | st.floats(5e-324, 8e307),
 )
 @example(seed=2**200, bound=5e-324)
+@example(seed=2**320 - 1, bound=5e-324)
 @example(seed=0, bound=8e307)
 def test_noise_draws_are_numpys_default_rng_bit_for_bit(seed, bound):
-    # seeds past 2**128 have more than four uint32 words, past SeedSequence's pool
+    # seeds past 2**128 have more than four uint32 words, past SeedSequence's pool; up to 2**320
+    # they reach ten words
     drawn = braidjones.nmr._uniform_pair(seed, bound)
     expected = np.random.default_rng(seed).uniform(-bound, bound, size=2)
     assert [d.hex() for d in drawn] == [float(e).hex() for e in expected]
@@ -133,7 +135,9 @@ UNIFORM_PAIR_HEX = {
     (2**32 - 1, 1e-3): ("-0x1.041b243477689p-11", "-0x1.2694b379f623cp-11"),
     (2**32, 1e-3): ("0x1.98abb5cce4088p-11", "0x1.df4f074b8b800p-14"),
     (2**128 + 1, 1e-3): ("-0x1.969a999d74350p-15", "0x1.a5e5f9ede00f8p-13"),
+    (2**128, 1e-3): ("0x1.739bd694c8958p-12", "-0x1.0d7f782783d48p-11"),
     (2**200, 1e-3): ("0x1.0149d289bfe66p-11", "0x1.61c949ea8d36ep-11"),
+    (2**319 + 1, 1e-3): ("-0x1.849e3cf7167b2p-11", "0x1.9bd65d69124d4p-11"),
     (7, 5e-324): ("0x0.0p+0", "0x0.0000000000001p-1022"),
     (7, 5e307): ("0x1.1d06e7a6c820cp+1020", "0x1.c4855f23114bep+1021"),
 }
@@ -201,8 +205,8 @@ def test_controlled_u_is_the_one_unitarity_check(dim, kind, size, seed):
         assert abs(np.trace(rho2.matrix) - 1.0) <= braidjones.nmr._TOL
 
 
-# inf - inf warns on its way to the NaN that each check refuses
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# inf - inf makes the NaN that each check refuses, silently: a warning is an error here
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_nan_and_inf_matrices_are_refused(bad):
     for u in (np.diag([bad, 1.0]), np.array([[1.0, bad], [0.0, 1.0]])):
