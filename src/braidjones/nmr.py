@@ -13,8 +13,9 @@ The proportionality constant c is deliberately not hard coded: it is
 measured by a noise-free U = identity run, which makes the returned
 estimate immune to sign and normalization conventions of the product
 operators.  rho_1 and c depend only on (n, alpha_1), so a process builds
-them once per pair and every estimate shares them; each estimate builds
-and checks its own cU and rho_2.  Noise is a seeded uniform perturbation in
+them once per pair and every estimate shares them, as it does the readout
+observable per register; each estimate builds and checks its own cU and
+rho_2.  Noise is a seeded uniform perturbation in
 [-epsilon*Lambda, +epsilon*Lambda] per quadrature (uniform, not Gaussian,
 because the precision contract is a hard bound), so the rescaled estimate
 always satisfies |estimate - trace(U)| <= sqrt(2)*epsilon*Lambda/|c|, up
@@ -34,7 +35,9 @@ or physical enough; every other bound on that fact, here and in ``tlrep``
 and ``pulses``, is derived from it.  ``controlled_u`` is the one unitarity
 check on the simulator path: it admits U within 2*_TOL of U^dagger U = I,
 less a rounding margin, so no U it admits trips the unit-trace check of
-rho_2.  ``DensityOperator`` holds a matrix a caller passes in to _TOL in
+rho_2.  ``_unitarity_defect`` computes that defect and bound once for both
+``controlled_u`` and ``tlrep.rho_word``, which repairs a word product past
+the bound onto U(2) before it reaches the simulator.  ``DensityOperator`` holds a matrix a caller passes in to _TOL in
 Hermiticity and in unit trace.  Each check is written ``not (x <= bound)``,
 so NaN and infinite entries are refused, without numpy's invalid-value
 warning, and its message gives x.
@@ -159,31 +162,52 @@ def prepare_rho1(m: int, alpha1: float) -> DensityOperator:
     return DensityOperator(m, mat)
 
 
+def _unitarity_defect(u: np.ndarray) -> tuple[float, float]:
+    """(max|U^dagger U - I|, the bound ``controlled_u`` holds it to) for a square complex U.
+
+    The defect is NaN when U has a NaN or infinite entry, so a test written
+    ``defect > bound`` passes such a U on, and ``controlled_u``'s
+    ``not defect <= bound`` refuses it.  ``tlrep.rho_word`` repairs a word
+    product when ``defect > bound``, so it repairs exactly the finite
+    products ``controlled_u`` would refuse and returns every other one bit
+    for bit.
+    """
+    dim = u.shape[0]
+    # On apply_cu's state tr rho_2 - 1 = tr(U^dagger U - I) / (2*dim), at most half the
+    # largest defect, so a defect within 2*_TOL keeps rho_2 within _TOL of unit trace.
+    # Computed, tr rho_2 and the diagonal of U^dagger U are sums of 2*dim and dim rounded
+    # terms of about 1/(2*dim) and 1, so tr rho_2 - 1 exceeds half the measured defect by
+    # less than 1.5*dim ulps of 1; the bound gives up 4*dim ulps of defect to cover that.
+    with np.errstate(invalid="ignore"):  # an inf entry makes NaN
+        return np.abs(u.conj().T.dot(u) - _identity(dim)).max(), 2 * _TOL - dim * 2**-50
+
+
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The dim x dim identity, memoised and read-only: the I that U^dagger U is held to."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
 def controlled_u(U: np.ndarray) -> np.ndarray:
     """Block unitary identity (+) U: acts as U only when the probe is |1>; checks U.
 
     The simulator's one unitarity check.  U is refused, NaN and infinite
     entries included, unless max|U^dagger U - I| is at most 2*_TOL less
-    dim * 2^-50 of rounding margin; the message gives the defect and the
-    bound.  No U it admits trips ``DensityOperator``'s unit-trace check in
+    dim * 2^-50 of rounding margin (``_unitarity_defect``, which
+    ``tlrep.rho_word`` shares); the message gives the defect and the bound.
+    No U it admits trips ``DensityOperator``'s unit-trace check in
     ``apply_cu``.
     """
     u = np.asarray(U, dtype=complex)
     dim = u.shape[0]
     if u.ndim != 2 or u.shape != (dim, dim):
         raise ValueError("expected a square matrix")
-    # On apply_cu's state tr rho_2 - 1 = tr(U^dagger U - I) / (2*dim), at most half the
-    # largest defect, so a defect within 2*_TOL keeps rho_2 within _TOL of unit trace.
-    # Computed, tr rho_2 and the diagonal of U^dagger U are sums of 2*dim and dim rounded
-    # terms of about 1/(2*dim) and 1, so tr rho_2 - 1 exceeds half the measured defect by
-    # less than 1.5*dim ulps of 1; the bound gives up 4*dim ulps of defect to cover that.
-    tol = 2 * _TOL - dim * 2**-50
-    # one identity serves twice: as the I that U^dagger U is held to, then as cU's upper block
-    cu = np.eye(2 * dim, dtype=complex)
-    with np.errstate(invalid="ignore"):  # an inf entry makes NaN, which the check refuses
-        err = np.abs(u.conj().T @ u - cu[:dim, :dim]).max()
+    err, tol = _unitarity_defect(u)
     if not err <= tol:
         raise ValueError(f"matrix is not unitary: max |U^dagger U - I| = {err:.3e} > {tol:.3e}")
+    cu = np.eye(2 * dim, dtype=complex)
     cu[dim:, dim:] = u
     return cu
 
@@ -209,12 +233,18 @@ def measure_probe(rho2: DensityOperator, prec: MeasurementPrecision) -> complex:
     ``default_rng(prec.seed).uniform``, computed in-module by
     ``_uniform_pair``, so a fixed seed reproduces the measurement exactly.
     """
-    m = rho2.qubits
-    observable = product_operator(m, 1, "x") + 1j * product_operator(m, 1, "y")
-    z = complex(np.trace(observable @ rho2.matrix))
+    z = complex(np.trace(_readout(rho2.qubits) @ rho2.matrix))
     if prec.epsilon > 0.0:
         z += complex(*_uniform_pair(prec.seed, prec.epsilon * PROBE_LAMBDA))
     return z
+
+
+@lru_cache(maxsize=None)
+def _readout(m: int) -> np.ndarray:
+    """The observable I_1x + i*I_1y on m qubits; memoised and read-only."""
+    op = product_operator(m, 1, "x") + 1j * product_operator(m, 1, "y")
+    op.setflags(write=False)
+    return op
 
 
 # numpy's SeedSequence and PCG64 constants (PCG64 is O'Neill's XSL-RR 128/64 generator,

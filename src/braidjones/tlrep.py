@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .braid import BraidGenerator, BraidWord
-from .nmr import _TOL
+from .nmr import _TOL, _unitarity_defect
 
 __all__ = [
     "ADMISSIBLE_INTERVALS",
@@ -168,16 +168,35 @@ def rho_generator(g: BraidGenerator, params: ReprParams) -> np.ndarray:
 
 
 def rho_word(b: BraidWord, params: ReprParams) -> np.ndarray:
-    """Left-to-right product of the letter images; I for the empty word.
+    """Left-to-right product of the letter images, repaired if it drifts off U(2).
 
-    One image is built per entry of ``b.alphabet`` and the word is walked
-    through ``b.codes``, so no letter is hashed.  ``ndarray.dot`` gives the
-    same bits as ``@`` on these 2x2 complex products at a lower call cost.
+    I for the empty word.  One image is built per entry of ``b.alphabet``
+    and the word is walked through ``b.codes``, so no letter is hashed.
+    ``ndarray.dot`` gives the same bits as ``@`` on these 2x2 complex
+    products at a lower call cost.
+
+    Each letter image is unitary only to rounding, and a word repeats the
+    same few images, so their defects add up: the product drifts off U(2)
+    about linearly in the word's length, to about 2e-12 at 10^4 letters.
+    ``nmr._unitarity_defect`` measures the drift against the bound that
+    ``nmr.controlled_u`` holds U to.  A product P within it is returned bit
+    for bit.  A P past it is replaced by one Newton step of the polar
+    iteration (Higham 1986), Q = (P + P^-dagger) / 2, the selective
+    re-orthogonalisation of Parlett and Scott (1979): Q's defect is of order
+    the square of P's plus rounding, and its trace differs from P's by at
+    most about twice P's defect.  A NaN or infinite product has a NaN
+    defect and is returned as it is, for ``controlled_u`` to refuse.
     """
     if b.strands != 3:
         raise ValueError(f"the representation needs a 3-strand word, got {b.strands}")
     images = [rho_generator(g, params) for g in b.alphabet]
-    result = np.eye(2, dtype=complex)
+    p = np.eye(2, dtype=complex)
     for k in b.codes:
-        result = result.dot(images[k])
-    return result
+        p = p.dot(images[k])
+    defect, bound = _unitarity_defect(p)
+    if defect > bound:
+        # P^-dagger = adj(P)^dagger / conj(det P), written out for 2x2: no LAPACK call
+        det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
+        adj_dagger = np.array([[p[1, 1], -p[1, 0]], [-p[0, 1], p[0, 0]]]).conj()
+        p = (p + adj_dagger / det.conjugate()) / 2
+    return p

@@ -987,9 +987,6 @@ def test_cli_sweep_into_a_closed_pipe_is_bad_input():
 _STATE_SUM = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 3: the 2^c state sum loses 1.4e-9 to rounding"
 )
-_LONG_WORD = pytest.mark.xfail(
-    strict=True, reason="ROADMAP items 4 and 13: 10^4 letters fail the unitarity check"
-)
 _FOUND_WORD = (
     "s1 s2^-1 s2^-1 s2 s2 s2 s1^-1 s2^-1 s1 s1 s2^-1 s2 s2^-1 s1 s2 s1^-1 s1 s2^-1 s2^-1 s1"
 )
@@ -1012,8 +1009,14 @@ _FOUND_WORD = (
                      id="underflowed-bound"),
         pytest.param(["--braid", _FOUND_WORD, "--oracle", "--theta-max-deg", "1"],
                      marks=_STATE_SUM, id="20-letter-oracle"),
-        pytest.param(["--braid", " ".join(["s1 s2^-1"] * 5000)],
-                     marks=_LONG_WORD, id="10000-letters"),
+        # word products past controlled_u's unitarity bound, which rho_word repairs: 10^4
+        # letters (2.2e-12 at 10 degrees), and 1400 letters at the endpoints where |delta|
+        # rounds below 1 (2.80e-12 at 240 degrees, 2.51e-12 at 330)
+        pytest.param(["--braid", " ".join(["s1 s2^-1"] * 5000)], id="10000-letters"),
+        pytest.param(["--braid", " ".join(["s1 s2"] * 700), "--theta-min-deg", "240",
+                      "--theta-max-deg", "240"], id="endpoint-240"),
+        pytest.param(["--braid", " ".join(["s1 s2"] * 700), "--theta-min-deg", "330",
+                      "--theta-max-deg", "330"], id="endpoint-330"),
     ],
 )
 def test_cli_sweep_passes_correct_output(argv):

@@ -12,6 +12,8 @@ import braidjones.nmr
 from braidjones.braid import BraidGenerator, BraidWord, parse_braid
 from braidjones.cli import preset, run_sweep
 from braidjones.nmr import (
+    _readout,
+    _unitarity_defect,
     DensityOperator,
     MeasurementPrecision,
     apply_cu,
@@ -210,6 +212,9 @@ def test_controlled_u_is_the_one_unitarity_check(dim, kind, size, seed):
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_nan_and_inf_matrices_are_refused(bad):
     for u in (np.diag([bad, 1.0]), np.array([[1.0, bad], [0.0, 1.0]])):
+        # the defect is NaN, so rho_word's drift test, defect > bound, passes u on unrepaired
+        defect, bound = _unitarity_defect(np.asarray(u, dtype=complex))
+        assert math.isnan(defect) and not defect > bound
         with pytest.raises(ValueError, match="matrix is not unitary"):
             controlled_u(u)
         with pytest.raises(ValueError, match="matrix is not unitary"):
@@ -320,6 +325,12 @@ def test_product_operator_caches_valid_arguments_only():
         with pytest.raises(ValueError):
             product_operator(*bad)
     assert product_operator.cache_info().currsize == 1
+
+
+def test_readout_is_built_once_per_register():
+    op = _readout(2)
+    assert _readout(2) is op and not op.flags.writeable
+    assert np.array_equal(op, product_operator(2, 1, "x") + 1j * product_operator(2, 1, "y"))
 
 
 def test_sweep_prepares_the_probe_once(monkeypatch):
