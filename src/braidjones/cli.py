@@ -50,12 +50,24 @@ PRESETS = {
 ORACLE_TOL = 1e-9
 
 # largest cost a sweep accepts, in letter products (one 2x2 product per letter per
-# gridpoint); at about 2 us a product, some 20 s of work
+# gridpoint).  On grids of 7 to 3001 points a product costs 0.25 to 0.5 us, so letters
+# at the budget take some 3 to 5 s; the 200000-point empty-word grid it admits takes some
+# 15 s, at the gridpoint cost measured for _POINT_PRODUCTS
 MAX_SWEEP_PRODUCTS = 10**7
-# a gridpoint's fixed work (probe, simulator, row) in letter products: on single-threaded
-# BLAS two measurements gave an empty-word gridpoint 109 and 129 us against 2.13 and
-# 1.99 us per letter per point, a ratio of 51 to 65
+# a gridpoint's fixed work (probe, simulator, row) in letter products.  On single-threaded
+# BLAS, best of 3 to 5 runs in each of three processes, an empty-word gridpoint took 72 to
+# 81 us on grids of 256 to 20001 points, against 1.7 to 1.9 us per letter at a lone
+# gridpoint and 0.25 to 0.48 us per letter per point on grids of 7 to 3001 points: a
+# ratio of about 65 at one point and 160 to 300 in blocks.  The charge stays at 50, so
+# that no refusal edge moves
 _POINT_PRODUCTS = 50
+
+# gridpoints per stacked word product.  A block holds its points' ReprParams and
+# InvariantValues, about 1 KB a point, and six (T, 2, 2) stacks (up to four distinct
+# letters' images and the product's two buffers).  The 3001-point Borromean sweep peaked
+# at 34.2 MiB RSS in one 4096-point block and at 31.5 MiB in 256-point blocks, at the same
+# speed; one point at a time it peaks at 31.2 MiB
+_BLOCK_POINTS = 256
 
 # the float rounding a trace estimate may add to eq9_bound, per unit of 2 + eq9_bound.
 # Five roundings lie between trace and trace_nmr on the sweep's 2x2 U: the products
@@ -134,9 +146,13 @@ def run_sweep(
     term (a count that overflows is refused as a float, inf included); an
     inadmissible angle; and a vanishing calibration or a non-finite error
     bound.  Each refusal is a ValueError that names its CLI flag or angle.
-    Gridpoints then run serially; the point at index k perturbs its trace
-    estimate with seed prec.seed + k.  A check that fails at a gridpoint,
-    such as a word not on three strands, raises ValueError naming the angle.
+    Gridpoints then run in blocks of at most _BLOCK_POINTS: one
+    ``invariants.evaluate`` call per block builds the block's word products
+    as one stack, and then each gridpoint in turn runs the simulator and the
+    oracle; the point at index k perturbs its trace estimate with seed
+    prec.seed + k.  A check that fails at a gridpoint raises ValueError
+    naming the angle; a check on the word itself, such as a word not on
+    three strands, names the first angle.
     """
     lo, hi, step = float(lo), float(hi), float(step)
     _check_finite_grid(lo, hi, step)
@@ -174,28 +190,33 @@ def run_sweep(
         # each refusal starts with the refused field, epsilon or alpha1: the flag's name
         raise ValueError(f"--{exc}") from None
     records = []
-    for idx, (deg, theta) in enumerate(grid):
+    for start in range(0, points, _BLOCK_POINTS):
+        block = grid[start:start + _BLOCK_POINTS]
+        # until the simulator loop, a refusal names the block's first angle: ReprParams
+        # refuses no angle the pre-pass admitted, and the block's product only the word
+        deg = block[0][0]
         try:
-            params = tlrep.ReprParams.from_theta(theta)
-            values = invariants.evaluate(b, params)
-            trace_nmr = nmr.estimate_trace(values.unitary, replace(prec, seed=prec.seed + idx))
-            oracle = invariants.bracket_state_sum(b, params.A) if with_oracle else None
+            params = [tlrep.ReprParams.from_theta(theta) for _, theta in block]
+            points_values = zip(block, params, invariants.evaluate(b, params))
+            for idx, ((deg, theta), p, values) in enumerate(points_values, start):
+                trace_nmr = nmr.estimate_trace(values.unitary, replace(prec, seed=prec.seed + idx))
+                oracle = invariants.bracket_state_sum(b, p.A) if with_oracle else None
+                records.append(SweepRecord(
+                    theta_deg=deg,
+                    theta_rad=theta,
+                    A=p.A,
+                    delta=p.delta,
+                    trace=values.trace,
+                    trace_nmr=trace_nmr,
+                    bracket=values.bracket,
+                    oracle=oracle,
+                    f=values.f,
+                    t=values.t,
+                    jones=values.jones,
+                    eq9_bound=bound,
+                ))
         except ValueError as exc:
             raise ValueError(f"theta = {deg} deg: {exc}") from None
-        records.append(SweepRecord(
-            theta_deg=deg,
-            theta_rad=theta,
-            A=params.A,
-            delta=params.delta,
-            trace=values.trace,
-            trace_nmr=trace_nmr,
-            bracket=values.bracket,
-            oracle=oracle,
-            f=values.f,
-            t=values.t,
-            jones=values.jones,
-            eq9_bound=bound,
-        ))
     return records
 
 

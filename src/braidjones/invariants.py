@@ -27,6 +27,7 @@ planar Temperley-Lieb diagrams.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,18 +224,29 @@ def bracket_state_sum(b: BraidWord, A: complex) -> complex:
     return total
 
 
-def evaluate(b: BraidWord, params: ReprParams) -> InvariantValues:
+def evaluate(
+    b: BraidWord, params: ReprParams | Sequence[ReprParams]
+) -> InvariantValues | list[InvariantValues]:
     """Trace-formula invariants of the closure of a 3-strand word.
 
-    ``jones`` equals ``f``: the normalized invariant as a function of A,
-    evaluated here, is the Jones value at t = A^-4, and t is reported
+    ``params`` is one point, which gives its values, or a sequence of
+    points, which gives a list of their values in the same order from one
+    stacked ``rho_word`` product; the exponent sum I(b) is counted once per
+    call.  ``jones`` equals ``f``: the normalized invariant as a function of
+    A, evaluated here, is the Jones value at t = A^-4, and t is reported
     alongside to pin down the fourth-root branch.  Powers of -A^3 are taken
     as integer powers of a unit complex number, so no branch cuts arise.
     """
-    unitary = rho_word(b, params)
-    trace = complex(np.trace(unitary))
+    single = isinstance(params, ReprParams)
+    grid = [params] if single else params
     i_b = exponent_sum(b)
-    a = params.A
-    bracket = trace + a**i_b * (params.delta**2 - 2.0)
-    f = (-(a**3)) ** (-i_b) * bracket
-    return InvariantValues(trace=trace, bracket=bracket, f=f, t=a**-4, jones=f, unitary=unitary)
+    values = []
+    for p, unitary in zip(grid, rho_word(b, grid)):
+        trace = complex(np.trace(unitary))
+        a = p.A
+        bracket = trace + a**i_b * (p.delta**2 - 2.0)
+        f = (-(a**3)) ** (-i_b) * bracket
+        values.append(
+            InvariantValues(trace=trace, bracket=bracket, f=f, t=a**-4, jones=f, unitary=unitary)
+        )
+    return values[0] if single else values

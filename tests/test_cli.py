@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import braidjones.cli
 import braidjones.invariants
+import braidjones.nmr
 import braidjones.tlrep
 from braidjones.braid import BraidGenerator, BraidWord, parse_braid
 from braidjones.cli import (
@@ -151,6 +152,49 @@ def test_run_sweep_deterministic_with_noise():
         assert abs(r.trace - r.trace_nmr) <= r.eq9_bound
 
 
+def _per_point_sweep(b, lo, hi, step, prec, with_oracle):
+    """run_sweep's records from one evaluate call per gridpoint: the reference for its blocks."""
+    points = int((hi - lo) / step + 1e-9) + 1
+    bound = braidjones.nmr.trace_error_bound(2, prec)
+    records = []
+    for idx in range(points):
+        deg = lo + idx * step
+        params = braidjones.tlrep.ReprParams.from_theta(math.radians(deg))
+        values = braidjones.invariants.evaluate(b, params)
+        trace_nmr = braidjones.nmr.estimate_trace(
+            values.unitary, dataclasses.replace(prec, seed=prec.seed + idx)
+        )
+        oracle = braidjones.invariants.bracket_state_sum(b, params.A) if with_oracle else None
+        records.append(SweepRecord(
+            deg, params.theta, params.A, params.delta, values.trace, trace_nmr, values.bracket,
+            oracle, values.f, values.t, values.jones, bound,
+        ))
+    return records
+
+
+@pytest.mark.parametrize("block", [1, 4, 256])
+@pytest.mark.parametrize(
+    "word, lo, hi, step, with_oracle",
+    [
+        ("s1 s2^-1 s1 s2^-1 s1 s2^-1", 0.0, 30.0, 1.0, True),
+        ("", 60.0, 65.0, 0.5, False),
+        ("s1 s2 " * 700, 180.0, 270.0, 30.0, False),
+    ],
+    ids=["borromean-oracle", "empty", "endpoint-word"],
+)
+def test_run_sweep_gives_the_records_of_a_per_point_loop(
+    word, lo, hi, step, with_oracle, block, monkeypatch
+):
+    # the endpoint word drifts past controlled_u's bound at 240 degrees, where rho_word
+    # repairs it; a block size of 4 puts block edges inside every grid
+    monkeypatch.setattr(braidjones.cli, "_BLOCK_POINTS", block)
+    b = parse_braid(word, 3)
+    prec = MeasurementPrecision(epsilon=1e-3, seed=11)
+    records = run_sweep(b, lo, hi, step, prec, with_oracle=with_oracle)
+    expected = _per_point_sweep(b, lo, hi, step, prec, with_oracle)
+    assert [repr(r) for r in records] == [repr(r) for r in expected]
+
+
 def test_emit_csv_shape_and_determinism():
     records = run_sweep(preset("trefoil"), 0.0, 30.0, 1.0, with_oracle=True)
     buf = io.StringIO()
@@ -213,14 +257,16 @@ def test_emit_csv_round_trips():
 
 
 def test_cli_sweep_error_names_the_angle(capsys, monkeypatch):
-    evaluate = braidjones.invariants.evaluate
+    estimate_trace = braidjones.nmr.estimate_trace
 
-    def evaluate_up_to_5_deg(b, params):
-        if params.theta >= math.radians(5.0):
+    def estimate_up_to_5_deg(u, prec):
+        # the default grid is 0..30 deg in 1-deg steps and the default seed 0, so the
+        # gridpoint at k deg perturbs its estimate with seed k
+        if prec.seed >= 5:
             raise ValueError("a check failed")
-        return evaluate(b, params)
+        return estimate_trace(u, prec)
 
-    monkeypatch.setattr(braidjones.invariants, "evaluate", evaluate_up_to_5_deg)
+    monkeypatch.setattr(braidjones.nmr, "estimate_trace", estimate_up_to_5_deg)
     assert main(["sweep", "--preset", "figure8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -311,6 +311,26 @@ def test_evaluate_reports_t_and_jones():
     assert abs(values.t - params.A**-4) < 1e-12
 
 
+def test_evaluate_on_a_grid_gives_each_points_values(monkeypatch):
+    word = parse_braid("s1 s2^-1 s1 s2 s2 s1^-1", 3)
+    params = [ReprParams.from_theta(math.radians(d)) for d in (0, 7, 30, 60, 240, 330)]
+    calls = []
+
+    def counting_exponent_sum(b):
+        calls.append(b)
+        return exponent_sum(b)
+
+    monkeypatch.setattr(braidjones.invariants, "exponent_sum", counting_exponent_sum)
+    values = evaluate(word, params)
+    assert len(calls) == 1
+    assert len(values) == len(params)
+    for v, p in zip(values, params):
+        alone = evaluate(word, p)
+        assert repr(v) == repr(alone)
+        assert v.unitary.tobytes() == alone.unitary.tobytes()
+    assert evaluate(word, []) == []
+
+
 def test_oracle_matches_trace_formula_on_presets():
     words = {
         "trefoil": parse_braid("s1^3", 3),

@@ -284,6 +284,60 @@ def test_long_rho_word_is_bit_equal_to_the_plain_product(length):
             assert abs(np.trace(result) - np.trace(plain)) <= 2 * defect
 
 
+# the angles where the rounded |delta| is below 1 and a long product drifts fastest
+ENDPOINT_ANGLES = [math.radians(d) for d in (60.0, 210.0, 240.0, 300.0, 330.0)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    letters=st.lists(
+        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
+        max_size=60,
+    ),
+    grid=st.lists(
+        st.one_of(
+            st.sampled_from(ENDPOINT_ANGLES),
+            st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_stacked_rho_word_has_each_points_bytes(letters, grid):
+    # the grid form is one matmul per letter over the stack; each point's product must
+    # carry the bytes of the one-point call, which is the plain 2x2 product
+    word = BraidWord(3, tuple(letters))
+    params = [ReprParams(theta) for theta in grid]
+    stack = rho_word(word, params)
+    assert stack.shape == (len(grid), 2, 2)
+    for t, p in enumerate(params):
+        assert stack[t].tobytes() == rho_word(word, p).tobytes()
+
+
+def test_stacked_rho_word_repairs_each_point_as_alone():
+    # 3000 seeded letters drift past controlled_u's bound at 210 and 240 degrees only
+    word = _seeded_word(3000, 3000)
+    params = [ReprParams(math.radians(d)) for d in (0.0, 210.0, 15.0, 240.0, 30.0)]
+    stack = rho_word(word, params)
+    repaired = []
+    for t, p in enumerate(params):
+        assert stack[t].tobytes() == rho_word(word, p).tobytes()
+        images = [rho_generator(g, p) for g in word.alphabet]
+        plain = np.eye(2, dtype=complex)
+        for k in word.codes:
+            plain = plain.dot(images[k])
+        defect, bound = _unitarity_defect(plain)
+        if defect > bound:
+            repaired.append(round(math.degrees(p.theta)))
+        else:
+            assert np.array_equal(stack[t], plain)
+    assert repaired == [210, 240]
+
+
+def test_rho_word_of_an_empty_grid_is_an_empty_stack():
+    assert rho_word(parse_braid("s1 s2^-1", 3), []).shape == (0, 2, 2)
+
+
 def _extended_image(g, theta):
     # rho_generator's formula at the same float theta, evaluated in np.longdouble: the
     # image that rho_generator's rounded one stands for
