@@ -51,14 +51,15 @@ ORACLE_TOL = 1e-9
 
 # largest cost a sweep accepts, in letter products (one 2x2 product per letter per
 # gridpoint).  On grids of 7 to 3001 points a product costs 0.25 to 0.5 us, so letters
-# at the budget take some 3 to 5 s; the 200000-point empty-word grid it admits takes some
-# 15 s, at the gridpoint cost measured for _POINT_PRODUCTS
+# at the budget take some 3 to 5 s, and about 1 us at a lone gridpoint, some 10 s; the
+# 200000-point empty-word grid it admits takes some 15 s, at the gridpoint cost measured
+# for _POINT_PRODUCTS
 MAX_SWEEP_PRODUCTS = 10**7
 # a gridpoint's fixed work (probe, simulator, row) in letter products.  On single-threaded
 # BLAS, best of 3 to 5 runs in each of three processes, an empty-word gridpoint took 72 to
-# 81 us on grids of 256 to 20001 points, against 1.7 to 1.9 us per letter at a lone
-# gridpoint and 0.25 to 0.48 us per letter per point on grids of 7 to 3001 points: a
-# ratio of about 65 at one point and 160 to 300 in blocks.  The charge stays at 50, so
+# 81 us on grids of 256 to 20001 points and 123 to 125 us alone, against 1.04 to 1.05 us
+# per letter at a lone gridpoint and 0.25 to 0.48 us per letter per point on grids of 7
+# to 3001 points: a ratio of about 120 at one point and 160 to 300 in blocks.  The charge stays at 50, so
 # that no refusal edge moves
 _POINT_PRODUCTS = 50
 

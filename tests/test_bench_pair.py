@@ -66,3 +66,18 @@ def test_a_parent_spread_over_the_bound_is_unresolved():
 def test_unequal_sides_are_refused():
     with pytest.raises(ValueError, match="same positive number"):
         bench_pair.summarize([_run(40.0)], [], END_TO_END)
+
+
+def test_only_a_named_workload_is_run(monkeypatch, capsys):
+    # run.py's ``all`` keys its metrics by workload, which the summary cannot read; it is
+    # refused before any worktree or run is made, so no run is lost
+    def refuse(*args):
+        raise AssertionError("nothing may run before the workload is checked")
+
+    monkeypatch.setattr(bench_pair, "git", refuse)
+    monkeypatch.setattr(bench_pair, "run_side", refuse)
+    for workload in ("all", "no-such-workload"):
+        with pytest.raises(SystemExit) as exc:
+            bench_pair.main(["--workload", workload])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

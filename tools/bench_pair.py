@@ -1,15 +1,15 @@
 """Run the benchmark on a parent commit and on this checkout, in alternating pairs.
 
-    python tools/bench_pair.py --workload long-word --pairs 10 [--parent HEAD]
-                               [--seconds 24] [--seed 0] [--label NAME]
+    python tools/bench_pair.py --workload long-word [--pairs 10] [--parent HEAD]
 
 The parent is checked out into a temporary ``git worktree``; the change is
 this checkout's working tree, uncommitted edits included (the report's
 ``change.dirty`` says whether ``src/`` or ``perfbench/`` had any).  Each pair runs
-``perfbench/run.py --trace 0`` once on each side, each side with its own
-copy of the benchmark, and the side that goes first alternates from pair
-to pair.  ``BENCH_<label>.json`` (the label defaults to the workload) is
-written to the checkout's root.  It holds every run's raw JSON lines and,
+``perfbench/run.py --trace 0`` once on each side, at run.py's own seed
+and duration, each side with its own copy of the benchmark, and the side
+that goes first alternates from pair to pair.  The workload is one that
+``BENCHMARK.json`` names.  ``BENCH_<workload>.json`` is written to the
+checkout's root.  It holds every run's raw JSON lines and,
 for each end-to-end metric ``BENCHMARK.json`` declares, each side's median
 and quartiles, the change-to-parent ratio of the medians, the pairs the
 change won and a verdict:
@@ -94,11 +94,10 @@ def summarize(parent: list[list[str]], change: list[list[str]], end_to_end: list
     return out
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> list[str]:
+def run_side(root: Path, workload: str) -> list[str]:
     """One benchmark run in ``root``; its stdout lines that hold JSON."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True,
     )
     return [line for line in proc.stdout.splitlines() if line.startswith("{")]
@@ -110,15 +109,14 @@ def git(*args: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    # one workload per call: run.py's ``all`` reports its metrics under per-workload keys
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD")
-    parser.add_argument("--seconds", type=float, default=24.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--label")
     args = parser.parse_args(argv)
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent_sha = git("rev-parse", args.parent)
     # the change side is what perfbench runs: the package sources and the benchmark itself
     change = {"base": git("rev-parse", "HEAD"),
@@ -132,23 +130,20 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_side(roots[side], args.workload, args.seed,
-                                               args.seconds))
+                    runs[side].append(run_side(roots[side], args.workload))
                 print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
         finally:
             git("worktree", "remove", "--force", str(tree))
     report = {
         "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
         "parent": parent_sha,
         "change": change,
         "correct": {side: all(json.loads(r[-1])["correct"] for r in rs)
                     for side, rs in runs.items()},
-        "metrics": summarize(runs["parent"], runs["change"], end_to_end),
+        "metrics": summarize(runs["parent"], runs["change"], bench["end_to_end"]),
         "runs": runs,
     }
-    path = ROOT / f"BENCH_{args.label or args.workload}.json"
+    path = ROOT / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     for name, m in report["metrics"].items():
         print(f"{name:14s} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
