@@ -229,24 +229,26 @@ def evaluate(
 ) -> InvariantValues | list[InvariantValues]:
     """Trace-formula invariants of the closure of a 3-strand word.
 
-    ``params`` is one point, which gives its values, or a sequence of
-    points, which gives a list of their values in the same order from one
-    stacked ``rho_word`` product; the exponent sum I(b) is counted once per
+    ``params`` is a sequence of points, which gives a list of their values
+    in the same order, or one point, which is the grid of one and gives its
+    values, ``evaluate(b, [params])[0]``.  The grid's word products come
+    from one stacked ``rho_word`` call and their traces from one
+    ``np.trace`` over the stack; the exponent sum I(b) is counted once per
     call.  ``jones`` equals ``f``: the normalized invariant as a function of
     A, evaluated here, is the Jones value at t = A^-4, and t is reported
     alongside to pin down the fourth-root branch.  Powers of -A^3 are taken
     as integer powers of a unit complex number, so no branch cuts arise.
     """
-    single = isinstance(params, ReprParams)
-    grid = [params] if single else params
+    if isinstance(params, ReprParams):
+        return evaluate(b, [params])[0]
     i_b = exponent_sum(b)
+    stack = rho_word(b, params)
     values = []
-    for p, unitary in zip(grid, rho_word(b, grid)):
-        trace = complex(np.trace(unitary))
+    for p, unitary, trace in zip(params, stack, np.trace(stack, axis1=1, axis2=2).tolist()):
         a = p.A
         bracket = trace + a**i_b * (p.delta**2 - 2.0)
         f = (-(a**3)) ** (-i_b) * bracket
         values.append(
             InvariantValues(trace=trace, bracket=bracket, f=f, t=a**-4, jones=f, unitary=unitary)
         )
-    return values[0] if single else values
+    return values

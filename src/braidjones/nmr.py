@@ -35,12 +35,13 @@ or physical enough; every other bound on that fact, here and in ``tlrep``
 and ``pulses``, is derived from it.  ``controlled_u`` is the one unitarity
 check on the simulator path: it admits U within 2*_TOL of U^dagger U = I,
 less a rounding margin, so no U it admits trips the unit-trace check of
-rho_2.  ``_unitarity_defect`` computes that defect and bound once for both
-``controlled_u`` and ``tlrep.rho_word``, which repairs a word product past
-the bound onto U(2) before it reaches the simulator.  ``DensityOperator`` holds a matrix a caller passes in to _TOL in
-Hermiticity and in unit trace.  Each check is written ``not (x <= bound)``,
-so NaN and infinite entries are refused, without numpy's invalid-value
-warning, and its message gives x.
+rho_2.  ``_unitarity_defect`` computes that defect and bound for both
+``controlled_u``, on one U, and ``tlrep.rho_word``, on a whole stack of
+word products at once, which repairs each product past the bound onto U(2)
+before it reaches the simulator.  ``DensityOperator`` holds a matrix a
+caller passes in to _TOL in Hermiticity and in unit trace.  Each check is
+written ``not (x <= bound)``, so NaN and infinite entries are refused,
+without numpy's invalid-value warning, and its message gives x.
 """
 
 from __future__ import annotations
@@ -162,32 +163,26 @@ def prepare_rho1(m: int, alpha1: float) -> DensityOperator:
     return DensityOperator(m, mat)
 
 
-def _unitarity_defect(u: np.ndarray) -> tuple[float, float]:
+def _unitarity_defect(u: np.ndarray) -> tuple[float | np.ndarray, float]:
     """(max|U^dagger U - I|, the bound ``controlled_u`` holds it to) for a square complex U.
 
-    The defect is NaN when U has a NaN or infinite entry, so a test written
-    ``defect > bound`` passes such a U on, and ``controlled_u``'s
-    ``not defect <= bound`` refuses it.  ``tlrep.rho_word`` repairs a word
-    product when ``defect > bound``, so it repairs exactly the finite
-    products ``controlled_u`` would refuse and returns every other one bit
-    for bit.
+    ``u`` is one d x d matrix, which gives one defect, or a (..., d, d) stack,
+    which gives an array of the stack's per-matrix defects; each is the one its
+    matrix alone gives, bit for bit.  A defect is NaN when its U has a NaN or
+    infinite entry, so a test written ``defect > bound`` passes such a U on,
+    and ``controlled_u``'s ``not defect <= bound`` refuses it.
+    ``tlrep.rho_word`` repairs a word product when ``defect > bound``, so it
+    repairs exactly the finite products ``controlled_u`` would refuse and
+    returns every other one bit for bit.
     """
-    dim = u.shape[0]
-    # On apply_cu's state tr rho_2 - 1 = tr(U^dagger U - I) / (2*dim), at most half the
-    # largest defect, so a defect within 2*_TOL keeps rho_2 within _TOL of unit trace.
-    # Computed, tr rho_2 and the diagonal of U^dagger U are sums of 2*dim and dim rounded
-    # terms of about 1/(2*dim) and 1, so tr rho_2 - 1 exceeds half the measured defect by
-    # less than 1.5*dim ulps of 1; the bound gives up 4*dim ulps of defect to cover that.
+    # For a d x d U, on apply_cu's state tr rho_2 - 1 = tr(U^dagger U - I) / (2*d), at most
+    # half the largest defect, so a defect within 2*_TOL keeps rho_2 within _TOL of unit
+    # trace.  Computed, tr rho_2 and the diagonal of U^dagger U are sums of 2*d and d rounded
+    # terms of about 1/(2*d) and 1, so tr rho_2 - 1 exceeds half the measured defect by
+    # less than 1.5*d ulps of 1; the bound gives up 4*d ulps of defect to cover that.
     with np.errstate(invalid="ignore"):  # an inf entry makes NaN
-        return np.abs(u.conj().T.dot(u) - _identity(dim)).max(), 2 * _TOL - dim * 2**-50
-
-
-@lru_cache(maxsize=None)
-def _identity(dim: int) -> np.ndarray:
-    """The dim x dim identity, memoised and read-only: the I that U^dagger U is held to."""
-    eye = np.eye(dim)
-    eye.setflags(write=False)
-    return eye
+        drift = np.matmul(u.conj().swapaxes(-1, -2), u) - np.eye(u.shape[-1])
+    return np.abs(drift).max(axis=(-2, -1)), 2 * _TOL - u.shape[-1] * 2**-50
 
 
 def controlled_u(U: np.ndarray) -> np.ndarray:

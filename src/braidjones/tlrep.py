@@ -171,9 +171,9 @@ def rho_generator(g: BraidGenerator, params: ReprParams) -> np.ndarray:
 def rho_word(b: BraidWord, params: ReprParams | Sequence[ReprParams]) -> np.ndarray:
     """Left-to-right product of the letter images, repaired if it drifts off U(2).
 
-    ``params`` is one point, which gives the 2x2 product, or a sequence of T
-    points, which gives their products as a (T, 2, 2) stack; the one point
-    is the T = 1 case of the stack.  I for the empty word.  For each entry
+    ``params`` is a sequence of T points, which gives their products as a
+    (T, 2, 2) stack, or one point, which is the grid of one: its 2x2 product
+    is ``rho_word(b, [params])[0]``.  I for the empty word.  For each entry
     of ``b.alphabet`` the points' images are stacked, and the word is walked
     through ``b.codes`` with one ``np.matmul`` per letter over the whole
     stack, so no letter is hashed; a stack of one point is walked with
@@ -187,27 +187,27 @@ def rho_word(b: BraidWord, params: ReprParams | Sequence[ReprParams]) -> np.ndar
     Each letter image is unitary only to rounding, and a word repeats the
     same few images, so their defects add up: the product drifts off U(2)
     about linearly in the word's length, to about 2e-12 at 10^4 letters.
-    At each point ``nmr._unitarity_defect`` measures the drift against the
-    bound that ``nmr.controlled_u`` holds U to.  A product P within it is
-    returned bit for bit.  A P past it is replaced by one Newton step of the
-    polar iteration (Higham 1986), Q = (P + P^-dagger) / 2, the selective
-    re-orthogonalisation of Parlett and Scott (1979): Q's defect is of order
-    the square of P's plus rounding, and its trace differs from P's by at
-    most about twice P's defect.  A NaN or infinite product has a NaN
-    defect and is returned as it is, for ``controlled_u`` to refuse.
+    One ``nmr._unitarity_defect`` call measures every point's drift against
+    the bound that ``nmr.controlled_u`` holds U to.  A product P within it
+    is returned bit for bit.  A P past it is replaced by one Newton step of
+    the polar iteration (Higham 1986), Q = (P + P^-dagger) / 2, the
+    selective re-orthogonalisation of Parlett and Scott (1979): Q's defect
+    is of order the square of P's plus rounding, and its trace differs from
+    P's by at most about twice P's defect.  A NaN or infinite product has a
+    NaN defect and is returned as it is, for ``controlled_u`` to refuse.
     """
+    if isinstance(params, ReprParams):
+        return rho_word(b, [params])[0]
     if b.strands != 3:
         raise ValueError(f"the representation needs a 3-strand word, got {b.strands}")
-    single = isinstance(params, ReprParams)
-    grid = [params] if single else params
     images = [
-        np.array([rho_generator(g, point) for point in grid], dtype=complex).reshape(-1, 2, 2)
+        np.array([rho_generator(g, point) for point in params], dtype=complex).reshape(-1, 2, 2)
         for g in b.alphabet
     ]
-    p = np.tile(np.eye(2, dtype=complex), (len(grid), 1, 1))
+    p = np.tile(np.eye(2, dtype=complex), (len(params), 1, 1))
     q = np.empty_like(p)
     mul = np.matmul
-    if len(grid) == 1:
+    if len(params) == 1:
         # one point: ndarray.dot on the 2-D views makes the same zgemm call without
         # matmul's ufunc dispatch, about 1.1 rather than 1.7 us a letter
         p, q, mul, images = p[0], q[0], np.ndarray.dot, [m[0] for m in images]
@@ -215,11 +215,11 @@ def rho_word(b: BraidWord, params: ReprParams | Sequence[ReprParams]) -> np.ndar
         mul(p, images[k], out=q)
         p, q = q, p
     p = p.reshape(-1, 2, 2)
-    for t, u in enumerate(p):
-        defect, bound = _unitarity_defect(u)
-        if defect > bound:
-            # P^-dagger = adj(P)^dagger / conj(det P), written out for 2x2: no LAPACK call
-            det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-            adj_dagger = np.array([[u[1, 1], -u[1, 0]], [-u[0, 1], u[0, 0]]]).conj()
-            p[t] = (u + adj_dagger / det.conjugate()) / 2
-    return p[0] if single else p
+    defect, bound = _unitarity_defect(p)
+    for t in np.flatnonzero(defect > bound):
+        # P^-dagger = adj(P)^dagger / conj(det P), written out for 2x2: no LAPACK call
+        u = p[t]
+        det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+        adj_dagger = np.array([[u[1, 1], -u[1, 0]], [-u[0, 1], u[0, 0]]]).conj()
+        p[t] = (u + adj_dagger / det.conjugate()) / 2
+    return p

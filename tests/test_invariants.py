@@ -331,6 +331,53 @@ def test_evaluate_on_a_grid_gives_each_points_values(monkeypatch):
     assert evaluate(word, []) == []
 
 
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+# at these angles A is +-1 or about +-i, and the products' diagonals carry signed zeros
+QUARTER_TURNS = [ReprParams.from_theta(math.radians(d)) for d in (0, 90, 180, 270)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    letters=st.lists(
+        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
+        max_size=40,
+    )
+)
+def test_stacked_traces_are_each_products_own_trace(letters):
+    # one np.trace over the stack must give every point the bytes of complex(np.trace(u)),
+    # the sign of a zero part included
+    word = BraidWord(3, tuple(letters))
+    for values in evaluate(word, QUARTER_TURNS):
+        assert _hex(values.trace) == _hex(complex(np.trace(values.unitary)))
+    for p in QUARTER_TURNS:
+        alone = evaluate(word, p)
+        assert _hex(alone.trace) == _hex(complex(np.trace(alone.unitary)))
+
+
+SIGNED_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5)
+
+
+@settings(deadline=None)
+@given(
+    diagonals=st.lists(
+        st.lists(st.sampled_from(SIGNED_PARTS), min_size=4, max_size=4), min_size=1, max_size=8
+    )
+)
+def test_trace_reading_keeps_np_traces_signed_zeros(diagonals):
+    # The word products above never put -0 in both diagonal parts, so this stack does:
+    # np.trace adds a diagonal to +0, where d[0] + d[1] would keep -0 + -0 = -0.
+    stack = np.array([np.diag([complex(a, b), complex(c, d)]) for a, b, c, d in diagonals])
+    params = [QUARTER_TURNS[0]] * len(stack)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(braidjones.invariants, "rho_word", lambda b, params: stack)
+        values = evaluate(parse_braid("s1", 3), params)
+    for u, v in zip(stack, values):
+        assert _hex(v.trace) == _hex(complex(np.trace(u)))
+
+
 def test_oracle_matches_trace_formula_on_presets():
     words = {
         "trefoil": parse_braid("s1^3", 3),

@@ -224,6 +224,45 @@ def test_nan_and_inf_matrices_are_refused(bad):
             DensityOperator(1, rho)
 
 
+def _one_matrix_defect(u):
+    # the per-matrix formula, as controlled_u and rho_word each once wrote it for one U
+    with np.errstate(invalid="ignore"):
+        return np.abs(u.conj().T.dot(u) - np.eye(u.shape[0])).max()
+
+
+POISON = (math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.inf, math.nan))
+
+
+# a stacked defect that warned where the one-matrix formula does not would fail here
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=300)
+@given(
+    dim=st.sampled_from((2, 4)),
+    shape=st.sampled_from(("matrix", "stack of one", "stack")),
+    matrices=st.lists(
+        st.tuples(
+            st.sampled_from(("scalar", "hermitian", "additive")),
+            st.floats(0.0, 1e-9),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=2,
+        max_size=8,
+    ),
+    poison=st.none() | st.tuples(st.integers(0, 2**16), st.sampled_from(POISON)),
+)
+def test_stacked_defect_is_each_matrix_defect_bit_for_bit(dim, shape, matrices, poison):
+    stack = np.array([_near_unitary(dim, *m) for m in matrices], dtype=complex)
+    if poison is not None:
+        at, bad = poison
+        stack.reshape(-1)[at % stack.size] = bad
+    u = {"matrix": stack[0], "stack of one": stack[:1], "stack": stack}[shape]
+    defect, bound = _unitarity_defect(u)
+    assert bound == 2 * braidjones.nmr._TOL - dim * 2**-50
+    assert np.shape(defect) == u.shape[:-2]
+    expected = [float(_one_matrix_defect(m)).hex() for m in u.reshape(-1, dim, dim)]
+    assert [float(x).hex() for x in np.ravel(defect)] == expected
+
+
 def test_apply_cu_refuses_a_non_unitary_u_before_its_size():
     # 4x4 neither matches the 2-qubit state nor is unitary; controlled_u checks U first
     with pytest.raises(ValueError, match="not unitary"):

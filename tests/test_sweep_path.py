@@ -5,30 +5,13 @@ calls" when a workload's command bypasses a name in its ``reaches`` list;
 this test makes that failure show in the test suite as well.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
 
 import braidjones  # noqa: F401  (registers every submodule in sys.modules)
 from braidjones.tlrep import ReprParams
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _sweep_path():
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # the module's dataclasses look their module up in sys.modules
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module._SWEEP_PATH
-
-
-def test_a_sweep_calls_every_name_on_the_sweep_path(monkeypatch, capsys):
-    names = _sweep_path()
+def test_a_sweep_calls_every_name_on_the_sweep_path(monkeypatch, capsys, workloads):
+    names = workloads._SWEEP_PATH
     calls = dict.fromkeys(names, 0)
 
     def spy(name, fn):

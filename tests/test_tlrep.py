@@ -314,24 +314,40 @@ def test_stacked_rho_word_has_each_points_bytes(letters, grid):
         assert stack[t].tobytes() == rho_word(word, p).tobytes()
 
 
+def _reference_product(word, params):
+    # independent of rho_word: a plain .dot walk over the letters, and where the
+    # product is past controlled_u's bound, one 2x2 Newton polar step, as rho_word
+    # wrote both for one point at a time
+    u = np.eye(2, dtype=complex)
+    for g in word.letters:
+        u = u.dot(rho_generator(g, params))
+    defect = np.abs(u.conj().T.dot(u) - np.eye(2)).max()
+    if not defect > 2 * 1e-12 - 2 * 2**-50:
+        return u, False
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    adj_dagger = np.array([[u[1, 1], -u[1, 0]], [-u[0, 1], u[0, 0]]]).conj()
+    return (u + adj_dagger / det.conjugate()) / 2, True
+
+
 def test_stacked_rho_word_repairs_each_point_as_alone():
-    # 3000 seeded letters drift past controlled_u's bound at 210 and 240 degrees only
-    word = _seeded_word(3000, 3000)
-    params = [ReprParams(math.radians(d)) for d in (0.0, 210.0, 15.0, 240.0, 30.0)]
-    stack = rho_word(word, params)
-    repaired = []
-    for t, p in enumerate(params):
-        assert stack[t].tobytes() == rho_word(word, p).tobytes()
-        images = [rho_generator(g, p) for g in word.alphabet]
-        plain = np.eye(2, dtype=complex)
-        for k in word.codes:
-            plain = plain.dot(images[k])
-        defect, bound = _unitarity_defect(plain)
-        if defect > bound:
-            repaired.append(round(math.degrees(p.theta)))
-        else:
-            assert np.array_equal(stack[t], plain)
-    assert repaired == [210, 240]
+    # one defect test over the whole stack flags the points to repair; each point,
+    # repaired or not, has the bytes of the one-point reference.  (s1 s2)x700 drifts
+    # past controlled_u's bound at 240 and 330 degrees, 3000 seeded letters at 210 and 240
+    cases = [
+        (parse_braid(" ".join(["s1 s2"] * 700), 3), (15, 240, 100, 330, 345), [240, 330]),
+        (_seeded_word(3000, 3000), (0, 210, 15, 240, 30), [210, 240]),
+    ]
+    for word, degrees, repaired in cases:
+        params = [ReprParams(math.radians(d)) for d in degrees]
+        stack = rho_word(word, params)
+        flagged = []
+        for d, p, u in zip(degrees, params, stack):
+            reference, was_repaired = _reference_product(word, p)
+            assert u.tobytes() == reference.tobytes()
+            assert rho_word(word, p).tobytes() == reference.tobytes()
+            if was_repaired:
+                flagged.append(d)
+        assert flagged == repaired
 
 
 def test_rho_word_of_an_empty_grid_is_an_empty_stack():
