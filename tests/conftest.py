@@ -1,24 +1,9 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+from helpers import ROOT, load_script
 
 
 @pytest.fixture
 def workloads():
     """The benchmark's ``perfbench/workloads.py``, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    # the module's dataclasses look their module up in sys.modules
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
+    return load_script(ROOT / "perfbench" / "workloads.py")

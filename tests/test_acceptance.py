@@ -6,12 +6,10 @@ lines on a green run.
 
 import cmath
 import math
-import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from braidjones.pulses import (
     verify_program,
 )
 from braidjones.tlrep import (
-    ADMISSIBLE_INTERVALS,
     ReprParams,
     build_U,
     delta_from_theta,
@@ -35,14 +32,7 @@ from braidjones.tlrep import (
     tl_generators,
 )
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-GAPS = (
-    (math.pi / 6, math.pi / 3),
-    (2 * math.pi / 3, 5 * math.pi / 6),
-    (7 * math.pi / 6, 4 * math.pi / 3),
-    (5 * math.pi / 3, 11 * math.pi / 6),
-)
+from helpers import GAPS, cli_env, random_admissible, random_unitary
 
 PRESET_WORDS = ("trefoil", "figure8", "borromean")
 GRID_RAD = tuple(math.radians(k) for k in range(31))
@@ -70,23 +60,12 @@ def criterion(number, name):
     print(f"[acceptance] criterion {number} ({name}): PASS ({elapsed:.2f}s)")
 
 
-def _sample_admissible(rng):
-    lo, hi = ADMISSIBLE_INTERVALS[int(rng.integers(len(ADMISSIBLE_INTERVALS)))]
-    return float(rng.uniform(lo, hi))
-
-
-def _random_unitary(rng, dim):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_criterion_1_tl_algebra():
     with criterion(1, "TL algebra suite"):
         rng = np.random.default_rng(101)
         start = time.perf_counter()
         for _ in range(200):
-            params = ReprParams.from_theta(_sample_admissible(rng))
+            params = ReprParams.from_theta(random_admissible(rng))
             u1, u2 = build_U(params)
             for u in (u1, u2):
                 assert np.max(np.abs(u @ u - params.delta * u)) <= 1e-12
@@ -102,7 +81,7 @@ def test_criterion_2_unitarity_boundary():
         rng = np.random.default_rng(102)
         start = time.perf_counter()
         for _ in range(200):
-            params = ReprParams.from_theta(_sample_admissible(rng))
+            params = ReprParams.from_theta(random_admissible(rng))
             for index in (1, 2):
                 rho = rho_generator(BraidGenerator(index, 1), params)
                 assert np.max(np.abs(rho @ rho.conj().T - np.eye(2))) <= 1e-12
@@ -156,7 +135,7 @@ def test_criterion_5_simulator_exactness():
         rng = np.random.default_rng(105)
         for dim in (2, 4):
             for _ in range(50):
-                u = _random_unitary(rng, dim)
+                u = random_unitary(rng, dim)
                 assert abs(estimate_trace(u, prec) - np.trace(u)) <= 1e-10
         assert time.perf_counter() - start < 1.0
 
@@ -176,7 +155,7 @@ def test_criterion_6_measurement_error_bound():
             assert abs(bound - 2.0 * math.sqrt(2) * big_n * epsilon) < 1e-12
             violations = 0
             for seed in range(1000):
-                u = _random_unitary(rng, n_dim)
+                u = random_unitary(rng, n_dim)
                 prec = MeasurementPrecision(epsilon=epsilon, alpha1=1.0, seed=seed)
                 if abs(estimate_trace(u, prec) - np.trace(u)) > bound:
                     violations += 1
@@ -218,8 +197,7 @@ def test_criterion_8_pulse_compiler_fidelity():
 
 def test_criterion_9_cli_end_to_end(tmp_path):
     with criterion(9, "CLI end to end"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env = cli_env()
         out = tmp_path / "sweep.csv"
         args = [
             sys.executable, "-m", "braidjones", "sweep",

@@ -1,25 +1,21 @@
 """tools/bench_pair.py: statistics and verdicts from recorded benchmark JSON lines."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-_ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_pair", _ROOT / "tools" / "bench_pair.py")
-bench_pair = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pair)
+from helpers import ROOT, load_script
 
-END_TO_END = json.loads((_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+bench_pair = load_script(ROOT / "tools" / "bench_pair.py")
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def _run(units_per_s, peak_rss_mib=30.0, **others):
+def _run(units_per_s, peak_rss_mib=30.0, attempted=12, **others):
     """One run's JSON lines as perfbench/run.py prints them: provenance, then the result."""
     values = {"setup_s": 0.09, "units_per_s": units_per_s, "cmd_s.p50": 0.2, "cmd_s.tail": 0.2,
               "cmd_cpu_s.p50": 0.2, "peak_rss_mib": peak_rss_mib, "ok_ratio": 1.0, **others}
     units = {"setup_s": "s", "units_per_s": "1/s", "peak_rss_mib": "MiB", "ok_ratio": "ratio"}
-    result = {"correct": True, "attempted": 12, "failed": 0,
+    result = {"correct": True, "attempted": attempted, "failed": 0,
               "metrics": {k: {"value": v, "unit": units.get(k, "s")} for k, v in values.items()}}
     return [json.dumps({"workload": "long-word", "provenance": {"seed": 0}}), json.dumps(result)]
 
@@ -81,3 +77,22 @@ def test_only_a_named_workload_is_run(monkeypatch, capsys):
             bench_pair.main(["--workload", workload])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+def test_the_commands_per_run_are_printed_and_stored(monkeypatch, tmp_path, capsys):
+    # dense-grid's peak RSS is the driver's, which grows with the commands a run completes
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    attempted = {"parent": iter([54, 50, 52]), "change": iter([60, 62, 58])}
+
+    def run_side(root, workload):
+        return _run(40.0, attempted=next(attempted["change" if root == tmp_path else "parent"]))
+
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pair, "run_side", run_side)
+    assert bench_pair.main(["--workload", "dense-grid", "--pairs", "3"]) == 0
+    stored = json.loads((tmp_path / "BENCH_dense-grid.json").read_text())
+    assert stored["commands"] == {"parent": {"median": 52, "runs": [54, 50, 52]},
+                                  "change": {"median": 60, "runs": [60, 62, 58]}}
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("peak_rss_mib")]
+    assert line.endswith("  commands parent 52  change 60")

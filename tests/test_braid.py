@@ -1,4 +1,3 @@
-import random
 import re
 
 import numpy as np
@@ -16,6 +15,8 @@ from braidjones.braid import (
     invert,
     parse_braid,
 )
+
+from helpers import random_word_text
 
 
 def test_parse_power_expands():
@@ -168,12 +169,8 @@ def test_parse_matches_reference_parser(parts, tail, strands):
         assert word.letters == expected.letters
 
 
-def _random_text(seed, length):
-    return " ".join(random.Random(seed).choices(("s1", "s2", "s1^-1", "s2^-1"), k=length))
-
-
 def test_parse_shares_equal_letters():
-    word = parse_braid(_random_text(0, 10**4), 3)
+    word = parse_braid(random_word_text(0, 10**4), 3)
     assert len(word) == 10**4
     assert len({id(g) for g in word.letters}) <= 4
     assert len(word.alphabet) == 4

@@ -5,12 +5,10 @@ import hashlib
 import io
 import math
 import os
-import random
 import subprocess
 import sys
 import time
 import types
-from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -34,14 +32,7 @@ from braidjones.nmr import MeasurementPrecision
 from braidjones.pulses import GATE_THETA_MAX
 from braidjones.tlrep import _ANGLE_SLOP, ADMISSIBLE_INTERVALS
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _cli_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
+from helpers import GAPS, cli_env, random_word_text
 
 def _no_gridpoint(*args):
     raise AssertionError("a gridpoint was evaluated")
@@ -53,7 +44,7 @@ def run_cli(*args, stdout=subprocess.PIPE):
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        env=_cli_env(),
+        env=cli_env(),
     )
 
 
@@ -64,7 +55,7 @@ def run_cli_with_oracle_tol(oracle_tol, *args):
         f"cli.ORACLE_TOL = {oracle_tol!r}; sys.exit(cli.main(sys.argv[1:]))"
     )
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=_cli_env()
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=cli_env()
     )
 
 
@@ -400,7 +391,6 @@ ENDPOINT_FORMS = sorted(
     {x for interval in ADMISSIBLE_INTERVALS for x in interval}
     | {math.radians(d) for d in (0, 30, 60, 120, 150, 210, 240, 300, 330, 360)}
 )
-GAPS = [(hi, lo) for (_, hi), (lo, _) in zip(ADMISSIBLE_INTERVALS, ADMISSIBLE_INTERVALS[1:])]
 
 
 @pytest.mark.parametrize("endpoint", ENDPOINT_FORMS)
@@ -860,17 +850,13 @@ def test_cli_stderr_matches_golden_bytes(args):
     assert hashlib.sha256(result.stderr.encode("ascii")).hexdigest() == expected
 
 
-def _long_word(seed, length):
-    return " ".join(random.Random(seed).choices(("s1", "s2", "s1^-1", "s2^-1"), k=length))
-
-
 # recorded before letters were shared and coded, so the long-word path keeps its bytes
 LONG_WORD_GOLDEN_SHA256 = "1c1ef30f338063ee7c4486e7c04b099e8b241df047367b13ec55c6743e0b7fdf"
 
 
 def test_cli_long_word_stdout_matches_golden_bytes():
     result = run_cli(
-        "sweep", "--braid", _long_word(7, 3000),
+        "sweep", "--braid", random_word_text(7, 3000),
         "--theta-step-deg", "5", "--epsilon", "1e-3", "--seed", "7",
     )
     assert result.returncode == 0, result.stderr
@@ -902,7 +888,7 @@ def test_cli_sweep_names_the_braid_flag_in_a_parse_error(capsys):
 
 def test_cli_sweep_refuses_a_sweep_over_the_product_cap(capsys):
     start = time.perf_counter()
-    args = ["sweep", "--braid", _long_word(7, 3000), "--theta-step-deg", "0.0001"]
+    args = ["sweep", "--braid", random_word_text(7, 3000), "--theta-step-deg", "0.0001"]
     assert main(args) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
@@ -1017,7 +1003,7 @@ def test_cli_sweep_into_a_closed_pipe_is_bad_input():
          "--theta-step-deg", "0.02"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_cli_env(),
+        env=cli_env(),
     )
     assert proc.stdout.readline().decode("ascii") == CSV_COLUMNS + "\n"
     proc.stdout.close()

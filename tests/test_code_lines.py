@@ -1,12 +1,8 @@
 """tools/code_lines.py: the code-size count quoted for src/."""
 
-import importlib.util
-from pathlib import Path
+from helpers import ROOT, load_script
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _TOOL)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+code_lines = load_script(ROOT / "tools" / "code_lines.py")
 
 FIXTURE = '''"""Module docstring,
 over two lines."""

@@ -26,11 +26,7 @@ from braidjones.nmr import (
 )
 from braidjones.tlrep import ADMISSIBLE_INTERVALS, ReprParams, rho_word
 
-
-def _random_unitary(rng, dim):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from helpers import random_unitary
 
 
 def test_prepare_rho1_blocks():
@@ -85,7 +81,7 @@ def test_apply_cu_identity_and_blocks():
 
     rng = np.random.default_rng(41)
     for _ in range(20):
-        u = _random_unitary(rng, 2)
+        u = random_unitary(rng, 2)
         rho2 = apply_cu(rho1, u)
         assert abs(np.trace(rho2.matrix) - 1.0) < 1e-12
         assert np.max(np.abs(rho2.matrix[2:, :2] - (-u / 8))) < 1e-12
@@ -162,7 +158,7 @@ def test_estimate_trace_random_unitaries():
     rng = np.random.default_rng(42)
     for dim in (2, 4):
         for _ in range(50):
-            u = _random_unitary(rng, dim)
+            u = random_unitary(rng, dim)
             assert abs(estimate_trace(u) - np.trace(u)) < 1e-10
 
 
@@ -176,7 +172,7 @@ def test_estimate_trace_rejects_bad_input():
 def _near_unitary(dim, kind, size, seed):
     """A random unitary perturbed by about ``size``: scaled, times I + size*H, or plus size*P."""
     rng = np.random.default_rng(seed)
-    v = _random_unitary(rng, dim)
+    v = random_unitary(rng, dim)
     if kind == "scalar":
         return v * (1.0 + size)
     e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -296,7 +292,7 @@ def test_estimate_trace_builds_controlled_u_once(monkeypatch):
 
 def test_noise_bound_never_violated():
     rng = np.random.default_rng(43)
-    u = _random_unitary(rng, 2)
+    u = random_unitary(rng, 2)
     exact = np.trace(u)
     for epsilon in (1e-3, 1e-2):
         bound = trace_error_bound(2, MeasurementPrecision(epsilon=epsilon))

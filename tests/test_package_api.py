@@ -1,17 +1,15 @@
 """The package namespace is the union of its submodules' ``__all__`` lists."""
 
 import importlib
-import pkgutil
 import re
-from pathlib import Path
 
 import pytest
 
 import braidjones
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-# every submodule but the launcher, which exports no names
-SUBMODULES = [m.name for m in pkgutil.iter_modules(braidjones.__path__) if m.name != "__main__"]
+from helpers import ROOT, SUBMODULES
+
+README = ROOT / "README.md"
 
 
 def test_every_public_name_is_exported_by_the_package():

@@ -6,22 +6,13 @@ and the parse-time refusals load no numpy at all.  Each check runs in a
 fresh interpreter, where nothing has loaded numpy yet.
 """
 
-import os
-import pkgutil
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import braidjones
-
-ROOT = Path(__file__).resolve().parents[1]
-# the launcher is the one submodule the package does not register
-SUBMODULES = sorted(
-    m.name for m in pkgutil.iter_modules(braidjones.__path__) if m.name != "__main__"
-)
+from helpers import ROOT, SUBMODULES, cli_env
 
 # records the variable as numpy's import starts, and so as OpenBLAS reads it
 NUMPY_PROBE = """
@@ -36,8 +27,7 @@ sys.meta_path.insert(0, Probe())
 
 
 def _python(code, **env):
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    base["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + base.get("PYTHONPATH", "")
+    base = {k: v for k, v in cli_env().items() if k != "OPENBLAS_NUM_THREADS"}
     result = subprocess.run(
         [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True
     )

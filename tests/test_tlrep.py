@@ -22,18 +22,7 @@ from braidjones.tlrep import (
     tl_generators,
 )
 
-GAPS = (
-    (math.pi / 6, math.pi / 3),
-    (2 * math.pi / 3, 5 * math.pi / 6),
-    (7 * math.pi / 6, 4 * math.pi / 3),
-    (5 * math.pi / 3, 11 * math.pi / 6),
-)
-
-
-def _random_admissible(rng):
-    lo, hi = ADMISSIBLE_INTERVALS[int(rng.integers(len(ADMISSIBLE_INTERVALS)))]
-    return float(rng.uniform(lo, hi))
-
+from helpers import GAPS, random_admissible
 
 def test_delta_from_theta():
     assert abs(delta_from_theta(0.0) + 2.0) < 1e-12
@@ -140,7 +129,7 @@ def test_repr_params_derives_everything_from_theta():
 def test_repr_params_invariants():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        params = ReprParams.from_theta(_random_admissible(rng))
+        params = ReprParams.from_theta(random_admissible(rng))
         assert abs(abs(params.A) - 1.0) < 1e-12
         assert abs(complex(params.delta) - (-params.A**2 - params.A**-2)) < 1e-12
 
@@ -166,7 +155,7 @@ def test_tl_generators_rejects_singular_delta():
 def test_trace_identities():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        params = ReprParams.from_theta(_random_admissible(rng))
+        params = ReprParams.from_theta(random_admissible(rng))
         u1, u2 = build_U(params)
         assert abs(np.trace(u1) - params.delta) < 1e-12
         assert abs(np.trace(u2) - params.delta) < 1e-12
@@ -177,7 +166,7 @@ def test_trace_identities():
 def test_tl_relations():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        params = ReprParams.from_theta(_random_admissible(rng))
+        params = ReprParams.from_theta(random_admissible(rng))
         u1, u2 = build_U(params)
         for u in (u1, u2):
             assert np.max(np.abs(u @ u - params.delta * u)) < 1e-12
@@ -188,7 +177,7 @@ def test_tl_relations():
 def test_rho_sigma1_closed_form():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        params = ReprParams.from_theta(_random_admissible(rng))
+        params = ReprParams.from_theta(random_admissible(rng))
         r = rho_generator(BraidGenerator(1, 1), params)
         expected = np.diag([-params.A**-3, params.A])
         assert np.max(np.abs(r - expected)) < 1e-12
@@ -202,7 +191,7 @@ def test_rho_sigma1_at_theta_zero():
 def test_rho_inverse_is_dagger_and_inverse():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        params = ReprParams.from_theta(_random_admissible(rng))
+        params = ReprParams.from_theta(random_admissible(rng))
         for index in (1, 2):
             fwd = rho_generator(BraidGenerator(index, 1), params)
             bwd = rho_generator(BraidGenerator(index, -1), params)
@@ -227,7 +216,7 @@ def test_rho_word_trefoil_closed_form():
     rng = np.random.default_rng(6)
     word = parse_braid("s1^3", 3)
     for _ in range(50):
-        params = ReprParams.from_theta(_random_admissible(rng))
+        params = ReprParams.from_theta(random_admissible(rng))
         r = rho_word(word, params)
         expected = np.diag([-params.A**-9, params.A**3])
         assert np.max(np.abs(r - expected)) < 1e-12
@@ -458,7 +447,7 @@ def test_braid_relation():
     lhs_word = parse_braid("s1 s2 s1", 3)
     rhs_word = parse_braid("s2 s1 s2", 3)
     for _ in range(100):
-        params = ReprParams.from_theta(_random_admissible(rng))
+        params = ReprParams.from_theta(random_admissible(rng))
         lhs = rho_word(lhs_word, params)
         rhs = rho_word(rhs_word, params)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -472,7 +461,7 @@ def test_rho_word_inverse_property():
             f"s{rng.integers(1, 3)}^{rng.choice((-1, 1))}" for _ in range(length)
         )
         word = parse_braid(text, 3)
-        params = ReprParams.from_theta(_random_admissible(rng))
+        params = ReprParams.from_theta(random_admissible(rng))
         fwd = rho_word(word, params)
         bwd = rho_word(invert(word), params)
         assert np.max(np.abs(fwd @ bwd - np.eye(2))) < 1e-11

@@ -23,6 +23,10 @@ change won and a verdict:
   than the parent's quartile spread;
 - ``same``: none of these.
 
+It also holds each side's commands per run (the result line's ``attempted``)
+and their median, printed next to ``peak_rss_mib``: the driver's peak RSS
+grows with the commands a run completes.
+
 Standard library only.
 """
 
@@ -94,6 +98,15 @@ def summarize(parent: list[list[str]], change: list[list[str]], end_to_end: list
     return out
 
 
+def commands(runs: dict[str, list[list[str]]]) -> dict:
+    """Each side's commands per run (the result line's ``attempted``) and their median."""
+    out = {}
+    for side, rs in runs.items():
+        counts = [json.loads(r[-1])["attempted"] for r in rs]
+        out[side] = {"median": statistics.median(counts), "runs": counts}
+    return out
+
+
 def run_side(root: Path, workload: str) -> list[str]:
     """One benchmark run in ``root``; its stdout lines that hold JSON."""
     proc = subprocess.run(
@@ -141,14 +154,19 @@ def main(argv: list[str] | None = None) -> int:
         "correct": {side: all(json.loads(r[-1])["correct"] for r in rs)
                     for side, rs in runs.items()},
         "metrics": summarize(runs["parent"], runs["change"], bench["end_to_end"]),
+        "commands": commands(runs),
         "runs": runs,
     }
     path = ROOT / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
+    cmds = report["commands"]
     for name, m in report["metrics"].items():
-        print(f"{name:14s} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
-              f"  ratio {m['ratio'] if m['ratio'] is None else format(m['ratio'], '.4f')}"
-              f"  wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+        line = (f"{name:14s} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
+                f"  ratio {m['ratio'] if m['ratio'] is None else format(m['ratio'], '.4f')}"
+                f"  wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+        if name == "peak_rss_mib":
+            line += f"  commands parent {cmds['parent']['median']:g}  change {cmds['change']['median']:g}"
+        print(line)
     return 0
 
 
