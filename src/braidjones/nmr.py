@@ -188,17 +188,18 @@ def _unitarity_defect(u: np.ndarray) -> tuple[float | np.ndarray, float]:
 def controlled_u(U: np.ndarray) -> np.ndarray:
     """Block unitary identity (+) U: acts as U only when the probe is |1>; checks U.
 
-    The simulator's one unitarity check.  U is refused, NaN and infinite
-    entries included, unless max|U^dagger U - I| is at most 2*_TOL less
-    dim * 2^-50 of rounding margin (``_unitarity_defect``, which
+    The simulator's one unitarity check.  A U that is not a non-empty square
+    matrix is refused before its size is read.  U is refused, NaN and
+    infinite entries included, unless max|U^dagger U - I| is at most 2*_TOL
+    less dim * 2^-50 of rounding margin (``_unitarity_defect``, which
     ``tlrep.rho_word`` shares); the message gives the defect and the bound.
     No U it admits trips ``DensityOperator``'s unit-trace check in
     ``apply_cu``.
     """
     u = np.asarray(U, dtype=complex)
-    dim = u.shape[0]
-    if u.ndim != 2 or u.shape != (dim, dim):
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
         raise ValueError("expected a square matrix")
+    dim = u.shape[0]
     err, tol = _unitarity_defect(u)
     if not err <= tol:
         raise ValueError(f"matrix is not unitary: max |U^dagger U - I| = {err:.3e} > {tol:.3e}")

@@ -1,5 +1,6 @@
 """What the test modules share: the repository's paths, a loader for its scripts, the
-CLI's subprocess environment, the admissible set's gaps and the seeded samplers.
+CLI's subprocess environment and runner, the admissible set's gaps, the seeded samplers,
+the hypothesis strategies for letters and angles, and a call-counting spy.
 
 Importing this module puts ``src`` first on ``sys.path``, so the tests run
 from a plain checkout as well as from an installed package.
@@ -10,8 +11,11 @@ import math
 import os
 import pkgutil
 import random
+import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -21,7 +25,8 @@ if SRC not in sys.path:
 import numpy as np  # noqa: E402  (after the path: braidjones must come from src)
 
 import braidjones  # noqa: E402
-from braidjones.tlrep import ADMISSIBLE_INTERVALS  # noqa: E402
+from braidjones.braid import BraidGenerator  # noqa: E402
+from braidjones.tlrep import ADMISSIBLE_INTERVALS, ReprParams  # noqa: E402
 
 # every submodule but the launcher, which exports no names and is not registered
 SUBMODULES = sorted(
@@ -58,6 +63,51 @@ def cli_env():
     return env
 
 
+def run_cli(*args, oracle_tol=None, stdout=subprocess.PIPE):
+    """``python -m braidjones *args`` in a fresh process, its output captured as text.
+
+    With ``oracle_tol``, the process sets ``cli.ORACLE_TOL = oracle_tol`` first.
+    """
+    launch = ["-m", "braidjones"]
+    if oracle_tol is not None:
+        launch = ["-c", "import sys, braidjones.cli as cli; "
+                  f"cli.ORACLE_TOL = {oracle_tol!r}; sys.exit(cli.main(sys.argv[1:]))"]
+    return subprocess.run([sys.executable, *launch, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=cli_env())
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of each braidjones function named ``module.function``.
+
+    Each function is rebound in every braidjones namespace that holds it, as the
+    benchmark's tracer does; ``tlrep.from_theta`` is ``ReprParams``' classmethod.
+    Returns the counts by name, which each call keeps up to date.
+    """
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    namespaces = [m for n, m in sys.modules.items()
+                  if n == "braidjones" or n.startswith("braidjones.")]
+    for name in names:
+        module_name, func = name.split(".")
+        if name == "tlrep.from_theta":
+            wrapped = classmethod(spy(name, ReprParams.__dict__[func].__func__))
+            monkeypatch.setattr(ReprParams, func, wrapped)
+            continue
+        original = getattr(sys.modules[f"braidjones.{module_name}"], func)
+        wrapped = spy(name, original)
+        for ns in namespaces:
+            for attr in [a for a, v in vars(ns).items() if v is original]:
+                monkeypatch.setattr(ns, attr, wrapped)
+    return calls
+
+
 def random_unitary(rng, dim):
     """A Haar-random ``dim`` x ``dim`` unitary from the numpy generator ``rng``."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -74,3 +124,8 @@ def random_admissible(rng):
 def random_word_text(seed, length):
     """``length`` three-strand letters drawn by ``random.Random(seed)``, as braid text."""
     return " ".join(random.Random(seed).choices(("s1", "s2", "s1^-1", "s2^-1"), k=length))
+
+
+# a three-strand letter, and an angle uniform in an admissible interval that is drawn first
+LETTER3 = st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1)))
+ADMISSIBLE_THETA = st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv))

@@ -6,8 +6,6 @@ lines on a green run.
 
 import cmath
 import math
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
@@ -32,7 +30,7 @@ from braidjones.tlrep import (
     tl_generators,
 )
 
-from helpers import GAPS, cli_env, random_admissible, random_unitary
+from helpers import GAPS, random_admissible, random_unitary, run_cli
 
 PRESET_WORDS = ("trefoil", "figure8", "borromean")
 GRID_RAD = tuple(math.radians(k) for k in range(31))
@@ -197,28 +195,17 @@ def test_criterion_8_pulse_compiler_fidelity():
 
 def test_criterion_9_cli_end_to_end(tmp_path):
     with criterion(9, "CLI end to end"):
-        env = cli_env()
         out = tmp_path / "sweep.csv"
-        args = [
-            sys.executable, "-m", "braidjones", "sweep",
-            "--preset", "trefoil", "--oracle", "--epsilon", "0",
-            "--out", str(out),
-        ]
-        first = subprocess.run(args, capture_output=True, text=True, env=env)
+        args = ["sweep", "--preset", "trefoil", "--oracle", "--epsilon", "0", "--out", str(out)]
+        first = run_cli(*args)
         assert first.returncode == 0, first.stderr
         payload = out.read_bytes()
         assert len(payload.splitlines()) == 32
-        second = subprocess.run(args, capture_output=True, text=True, env=env)
+        second = run_cli(*args)
         assert second.returncode == 0
         assert out.read_bytes() == payload
         # the same sweep with the oracle gate cli.ORACLE_TOL tightened to 1e-30
-        corrupt = (
-            "import sys, braidjones.cli as cli; "
-            "cli.ORACLE_TOL = 1e-30; sys.exit(cli.main(sys.argv[1:]))"
-        )
-        corrupted = subprocess.run(
-            [sys.executable, "-c", corrupt, *args[3:]], capture_output=True, text=True, env=env
-        )
+        corrupted = run_cli(*args, oracle_tol=1e-30)
         assert corrupted.returncode == 1, corrupted.stderr
         assert "FAIL" in corrupted.stderr
 

@@ -18,7 +18,7 @@ import braidjones.cli
 import braidjones.invariants
 import braidjones.nmr
 import braidjones.tlrep
-from braidjones.braid import BraidGenerator, BraidWord, parse_braid
+from braidjones.braid import BraidWord, parse_braid
 from braidjones.cli import (
     CSV_COLUMNS,
     SweepRecord,
@@ -32,31 +32,10 @@ from braidjones.nmr import MeasurementPrecision
 from braidjones.pulses import GATE_THETA_MAX
 from braidjones.tlrep import _ANGLE_SLOP, ADMISSIBLE_INTERVALS
 
-from helpers import GAPS, cli_env, random_word_text
+from helpers import GAPS, LETTER3, cli_env, count_calls, random_word_text, run_cli
 
 def _no_gridpoint(*args):
     raise AssertionError("a gridpoint was evaluated")
-
-
-def run_cli(*args, stdout=subprocess.PIPE):
-    return subprocess.run(
-        [sys.executable, "-m", "braidjones", *args],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=cli_env(),
-    )
-
-
-def run_cli_with_oracle_tol(oracle_tol, *args):
-    """The CLI in a fresh process whose oracle gate is ``cli.ORACLE_TOL = oracle_tol``."""
-    code = (
-        "import sys, braidjones.cli as cli; "
-        f"cli.ORACLE_TOL = {oracle_tol!r}; sys.exit(cli.main(sys.argv[1:]))"
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=cli_env()
-    )
 
 
 # the CLI names the grid's flags in front of the budget refusal
@@ -542,33 +521,17 @@ def test_cli_judges_a_huge_angle_on_its_true_delta(word, capsys):
 
 
 def test_run_sweep_builds_each_letter_image_once_per_point(monkeypatch):
-    calls = 0
-    original = braidjones.tlrep.rho_generator
-
-    def counting(g, params):
-        nonlocal calls
-        calls += 1
-        return original(g, params)
-
-    monkeypatch.setattr(braidjones.tlrep, "rho_generator", counting)
+    calls = count_calls(monkeypatch, "tlrep.rho_generator")
     run_sweep(preset("borromean"), 0.0, 30.0, 1.0)
     # two distinct letters (s1, s2^-1) at each of the 31 angles
-    assert calls == 2 * 31
+    assert calls["tlrep.rho_generator"] == 2 * 31
 
 
 def test_run_sweep_builds_one_generator_pair_per_point(monkeypatch):
-    calls = 0
-    original = braidjones.tlrep.tl_generators
-
-    def counting(delta):
-        nonlocal calls
-        calls += 1
-        return original(delta)
-
-    monkeypatch.setattr(braidjones.tlrep, "tl_generators", counting)
+    calls = count_calls(monkeypatch, "tlrep.tl_generators")
     run_sweep(preset("borromean"), 0.0, 30.0, 1.0)
     # ReprParams builds (U1, U2) once; both letter images read that pair
-    assert calls == 31
+    assert calls["tlrep.tl_generators"] == 31
 
 
 @pytest.mark.parametrize("deg", ["0", "30", "60", "120", "150", "210", "240", "300", "330", "360"])
@@ -752,10 +715,7 @@ def test_check_records_holds_an_exact_readout_to_the_rounding_allowance():
 
 @settings(deadline=None)
 @given(
-    letters=st.lists(
-        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
-        max_size=40,
-    ),
+    letters=st.lists(LETTER3, max_size=40),
     theta=st.sampled_from(braidjones.tlrep.ADMISSIBLE_INTERVALS).flatmap(
         lambda iv: st.sampled_from(iv) | st.floats(*iv)
     ),
@@ -845,7 +805,7 @@ GOLDEN_STDERR_SHA256 = {
 @pytest.mark.parametrize("args", list(GOLDEN_STDERR_SHA256))
 def test_cli_stderr_matches_golden_bytes(args):
     oracle_tol, status, expected = GOLDEN_STDERR_SHA256[args]
-    result = run_cli(*args) if oracle_tol is None else run_cli_with_oracle_tol(oracle_tol, *args)
+    result = run_cli(*args, oracle_tol=oracle_tol)
     assert result.returncode == status, result.stderr
     assert hashlib.sha256(result.stderr.encode("ascii")).hexdigest() == expected
 
@@ -1049,7 +1009,29 @@ _FOUND_WORD = (
                       "--theta-max-deg", "240"], id="endpoint-240"),
         pytest.param(["--braid", " ".join(["s1 s2"] * 700), "--theta-min-deg", "330",
                       "--theta-max-deg", "330"], id="endpoint-330"),
+        # seeded random words on the 0..30 degree grid, and the 10^4-letter one alone at 15
+        # degrees, where its one-point product is repaired (2.255e-12 > 1.998e-12)
+        pytest.param(["--braid", random_word_text(7, 3000), "--theta-step-deg", "5",
+                      "--epsilon", "1e-3"], id="random-3000-letters"),
+        pytest.param(["--braid", random_word_text(7, 10000), "--theta-step-deg", "5",
+                      "--epsilon", "1e-3"], id="random-10000-letters"),
+        pytest.param(["--braid", random_word_text(7, 10000), "--theta-min-deg", "15",
+                      "--theta-max-deg", "15", "--epsilon", "1e-3"], id="random-10000-at-15"),
     ],
 )
 def test_cli_sweep_passes_correct_output(argv):
     assert main(["sweep", *argv]) == 0
+
+
+def test_one_point_sweep_writes_its_row_of_a_grid_sweep(capsys):
+    # alone at 15 degrees the word walks one 2x2 product with ndarray.dot, which is repaired
+    # (2.255e-12 > 1.998e-12); on the 15..20 grid it walks in a stack of two with matmul.
+    # Row 1 of each is gridpoint 0, so both draw their noise from seed 0
+    argv = ["sweep", "--braid", random_word_text(7, 10000), "--epsilon", "1e-3",
+            "--theta-min-deg", "15", "--theta-step-deg", "5"]
+    assert main([*argv, "--theta-max-deg", "15"]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--theta-max-deg", "20"]) == 0
+    grid = capsys.readouterr().out.splitlines()
+    assert len(alone) == 2 and len(grid) == 3
+    assert alone[1] == grid[1]

@@ -18,7 +18,9 @@ from braidjones.invariants import (
     evaluate,
     identity_diagram,
 )
-from braidjones.tlrep import ADMISSIBLE_INTERVALS, ReprParams, rho_word
+from braidjones.tlrep import ReprParams, rho_word
+
+from helpers import ADMISSIBLE_THETA, LETTER3, count_calls
 
 GRID_DEG = range(31)
 
@@ -115,26 +117,14 @@ def test_trace_formula_matches_the_exact_transfer_on_long_words(length):
 
 
 def test_state_sum_memoises_diagram_work(monkeypatch):
-    counts = {"compose_tl": 0, "closure_loop_count": 0}
-
-    def counting(name):
-        original = getattr(braidjones.invariants, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(braidjones.invariants, name, counting(name))
+    counts = count_calls(monkeypatch, "invariants.compose_tl", "invariants.closure_loop_count")
     braidjones.invariants._stack_cup_cap.cache_clear()
     braidjones.invariants._closure_circles.cache_clear()
     word = parse_braid("s1 s2^-1 s1 s2 s1^-1 s2^-1 s1 s2 s1 s2^-1 s1^-1 s2", 3)
     bracket_state_sum(word, cmath.exp(0.4j))
     # Catalan(3) = 5 planar diagrams, each with 2 cup-caps to stack on it
-    assert counts["compose_tl"] <= 10
-    assert counts["closure_loop_count"] <= 5
+    assert counts["invariants.compose_tl"] <= 10
+    assert counts["invariants.closure_loop_count"] <= 5
 
 
 def test_diagram_validation():
@@ -210,20 +200,16 @@ def test_check_state_sum_size_bounds_the_terms_over_all_points():
 
 # Jones' identities (Bull. AMS 12, 1985) on 3-strand words of at most 40 letters, at
 # admissible angles: they pin the sign and chirality conventions on arbitrary words
-_letter3 = st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1)))
-_admissible = st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv))
-
-
 def _jones(letters, theta):
     return evaluate(BraidWord(3, tuple(letters)), ReprParams(theta)).jones
 
 
 @settings(deadline=None)
 @given(
-    before=st.lists(_letter3, max_size=19),
-    after=st.lists(_letter3, max_size=20),
+    before=st.lists(LETTER3, max_size=19),
+    after=st.lists(LETTER3, max_size=20),
     index=st.sampled_from((1, 2)),
-    theta=_admissible,
+    theta=ADMISSIBLE_THETA,
 )
 def test_jones_satisfies_the_skein_relation(before, after, index, theta):
     # t^-1 V+ - t V- = (t^1/2 - t^-1/2) V0 with t = A^-4 and t^1/2 = A^-2
@@ -237,7 +223,7 @@ def test_jones_satisfies_the_skein_relation(before, after, index, theta):
 
 
 @settings(deadline=None)
-@given(letters=st.lists(_letter3, max_size=40), theta=_admissible)
+@given(letters=st.lists(LETTER3, max_size=40), theta=ADMISSIBLE_THETA)
 def test_mirror_word_at_theta_is_the_word_at_minus_theta(letters, theta):
     mirror = [BraidGenerator(g.index, -g.sign) for g in letters]
     assert abs(_jones(mirror, theta) - _jones(letters, -theta)) < 1e-12
@@ -245,10 +231,10 @@ def test_mirror_word_at_theta_is_the_word_at_minus_theta(letters, theta):
 
 @settings(deadline=None)
 @given(
-    before=st.lists(_letter3, max_size=18),
-    after=st.lists(_letter3, max_size=19),
+    before=st.lists(LETTER3, max_size=18),
+    after=st.lists(LETTER3, max_size=19),
     sign=st.sampled_from((1, -1)),
-    theta=_admissible,
+    theta=ADMISSIBLE_THETA,
 )
 def test_jones_respects_the_braid_relation(before, after, sign, theta):
     # s1 s2 s1 = s2 s1 s2, and the same with every letter inverted
@@ -259,9 +245,9 @@ def test_jones_respects_the_braid_relation(before, after, sign, theta):
 
 @settings(deadline=None)
 @given(
-    body=st.lists(_letter3, max_size=30),
-    outer=st.lists(_letter3, min_size=1, max_size=5),
-    theta=_admissible,
+    body=st.lists(LETTER3, max_size=30),
+    outer=st.lists(LETTER3, min_size=1, max_size=5),
+    theta=ADMISSIBLE_THETA,
 )
 def test_jones_is_conjugation_invariant(body, outer, theta):
     b, g = BraidWord(3, tuple(body)), BraidWord(3, tuple(outer))
@@ -314,15 +300,9 @@ def test_evaluate_reports_t_and_jones():
 def test_evaluate_on_a_grid_gives_each_points_values(monkeypatch):
     word = parse_braid("s1 s2^-1 s1 s2 s2 s1^-1", 3)
     params = [ReprParams.from_theta(math.radians(d)) for d in (0, 7, 30, 60, 240, 330)]
-    calls = []
-
-    def counting_exponent_sum(b):
-        calls.append(b)
-        return exponent_sum(b)
-
-    monkeypatch.setattr(braidjones.invariants, "exponent_sum", counting_exponent_sum)
+    calls = count_calls(monkeypatch, "invariants.exponent_sum")
     values = evaluate(word, params)
-    assert len(calls) == 1
+    assert calls["invariants.exponent_sum"] == 1
     assert len(values) == len(params)
     for v, p in zip(values, params):
         alone = evaluate(word, p)
@@ -341,10 +321,7 @@ QUARTER_TURNS = [ReprParams.from_theta(math.radians(d)) for d in (0, 90, 180, 27
 
 @settings(deadline=None, max_examples=200)
 @given(
-    letters=st.lists(
-        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
-        max_size=40,
-    )
+    letters=st.lists(LETTER3, max_size=40)
 )
 def test_stacked_traces_are_each_products_own_trace(letters):
     # one np.trace over the stack must give every point the bytes of complex(np.trace(u)),

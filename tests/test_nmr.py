@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import braidjones.cli
 import braidjones.nmr
-from braidjones.braid import BraidGenerator, BraidWord, parse_braid
+from braidjones.braid import BraidWord, parse_braid
 from braidjones.cli import preset, run_sweep
 from braidjones.nmr import (
     _readout,
@@ -24,9 +24,9 @@ from braidjones.nmr import (
     product_operator,
     trace_error_bound,
 )
-from braidjones.tlrep import ADMISSIBLE_INTERVALS, ReprParams, rho_word
+from braidjones.tlrep import ReprParams, rho_word
 
-from helpers import random_unitary
+from helpers import ADMISSIBLE_THETA, LETTER3, count_calls, random_unitary
 
 
 def test_prepare_rho1_blocks():
@@ -273,21 +273,17 @@ def test_trace_error_bound_rejects_a_non_power_of_two_dimension():
 def test_estimate_trace_rejects_a_non_square_u():
     with pytest.raises(ValueError, match="square"):
         estimate_trace(np.ones((2, 3)))
+    # controlled_u tests the shape before it reads a size or measures a defect
+    for u in (np.array(1.0), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            controlled_u(u)
 
 
 def test_estimate_trace_builds_controlled_u_once(monkeypatch):
-    calls = 0
-    original = braidjones.nmr.controlled_u
-
-    def counting(U):
-        nonlocal calls
-        calls += 1
-        return original(U)
-
     estimate_trace(np.eye(2))  # the calibration run is cached, not counted below
-    monkeypatch.setattr(braidjones.nmr, "controlled_u", counting)
+    calls = count_calls(monkeypatch, "nmr.controlled_u")
     estimate_trace(np.diag([1.0, 1.0j]), MeasurementPrecision(epsilon=1e-3))
-    assert calls == 1
+    assert calls["nmr.controlled_u"] == 1
 
 
 def test_noise_bound_never_violated():
@@ -369,19 +365,11 @@ def test_readout_is_built_once_per_register():
 
 
 def test_sweep_prepares_the_probe_once(monkeypatch):
-    calls = 0
-    original = braidjones.nmr.prepare_rho1
-
-    def counting(m, alpha1):
-        nonlocal calls
-        calls += 1
-        return original(m, alpha1)
-
-    monkeypatch.setattr(braidjones.nmr, "prepare_rho1", counting)
+    calls = count_calls(monkeypatch, "nmr.prepare_rho1")
     braidjones.nmr._probe.cache_clear()
     run_sweep(preset("borromean"), 0.0, 30.0, 1.0)
     # one shared rho_1 serves the calibration and all 31 gridpoints
-    assert calls == 1
+    assert calls["nmr.prepare_rho1"] == 1
     rho1, _ = braidjones.nmr._probe(2, 1.0)
     assert not rho1.matrix.flags.writeable
 
@@ -396,11 +384,8 @@ def _outcome(compute):
 
 @settings(deadline=None)
 @given(
-    letters=st.lists(
-        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
-        max_size=12,
-    ),
-    theta=st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv)),
+    letters=st.lists(LETTER3, max_size=12),
+    theta=ADMISSIBLE_THETA,
     epsilon=st.floats(0.0, 0.1),
     alpha1=st.floats(0.0, 1.0, exclude_min=True),
     seed=st.integers(0, 2**32 - 1),

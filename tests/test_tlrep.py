@@ -22,7 +22,7 @@ from braidjones.tlrep import (
     tl_generators,
 )
 
-from helpers import GAPS, random_admissible
+from helpers import ADMISSIBLE_THETA, GAPS, LETTER3, random_admissible
 
 def test_delta_from_theta():
     assert abs(delta_from_theta(0.0) + 2.0) < 1e-12
@@ -71,10 +71,7 @@ def test_non_finite_angles_are_not_admissible(theta):
 
 @settings(deadline=None)
 @given(
-    letters=st.lists(
-        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
-        max_size=40,
-    ),
+    letters=st.lists(LETTER3, max_size=40),
     theta=st.floats(-1e6, 1e6),
 )
 def test_every_admissible_angle_gives_a_unitary_word_image(letters, theta):
@@ -225,11 +222,8 @@ def test_rho_word_trefoil_closed_form():
 
 @settings(deadline=None)
 @given(
-    letters=st.lists(
-        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
-        max_size=40,
-    ),
-    theta=st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv)),
+    letters=st.lists(LETTER3, max_size=40),
+    theta=ADMISSIBLE_THETA,
 )
 def test_rho_word_equals_letter_by_letter_product(letters, theta):
     params = ReprParams.from_theta(theta)
@@ -279,15 +273,9 @@ ENDPOINT_ANGLES = [math.radians(d) for d in (60.0, 210.0, 240.0, 300.0, 330.0)]
 
 @settings(deadline=None, max_examples=60)
 @given(
-    letters=st.lists(
-        st.builds(BraidGenerator, st.sampled_from((1, 2)), st.sampled_from((1, -1))),
-        max_size=60,
-    ),
+    letters=st.lists(LETTER3, max_size=60),
     grid=st.lists(
-        st.one_of(
-            st.sampled_from(ENDPOINT_ANGLES),
-            st.sampled_from(ADMISSIBLE_INTERVALS).flatmap(lambda iv: st.floats(*iv)),
-        ),
+        st.one_of(st.sampled_from(ENDPOINT_ANGLES), ADMISSIBLE_THETA),
         min_size=1,
         max_size=8,
     ),
