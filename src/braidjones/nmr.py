@@ -185,20 +185,26 @@ def _unitarity_defect(u: np.ndarray) -> tuple[float | np.ndarray, float]:
     return np.abs(drift).max(axis=(-2, -1)), 2 * _TOL - u.shape[-1] * 2**-50
 
 
+def _square_matrix(U: np.ndarray) -> np.ndarray:
+    """U as a complex array; refused, before its size is read, unless a non-empty square matrix."""
+    u = np.asarray(U, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
+        raise ValueError("expected a square matrix")
+    return u
+
+
 def controlled_u(U: np.ndarray) -> np.ndarray:
     """Block unitary identity (+) U: acts as U only when the probe is |1>; checks U.
 
     The simulator's one unitarity check.  A U that is not a non-empty square
-    matrix is refused before its size is read.  U is refused, NaN and
-    infinite entries included, unless max|U^dagger U - I| is at most 2*_TOL
-    less dim * 2^-50 of rounding margin (``_unitarity_defect``, which
+    matrix is refused before its size is read (``_square_matrix``).  U is
+    refused, NaN and infinite entries included, unless max|U^dagger U - I|
+    is at most 2*_TOL less dim * 2^-50 of rounding margin (``_unitarity_defect``, which
     ``tlrep.rho_word`` shares); the message gives the defect and the bound.
     No U it admits trips ``DensityOperator``'s unit-trace check in
     ``apply_cu``.
     """
-    u = np.asarray(U, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
-        raise ValueError("expected a square matrix")
+    u = _square_matrix(U)
     dim = u.shape[0]
     err, tol = _unitarity_defect(u)
     if not err <= tol:
@@ -346,8 +352,9 @@ def estimate_trace(U: np.ndarray, prec: MeasurementPrecision = MeasurementPrecis
     """End-to-end trace estimate of a unitary U (checked by controlled_u).
 
     At epsilon 0 it equals trace(U) up to float rounding: a few ulps of sum |U_ii|.
+    U's size is read for the probe only after ``_square_matrix`` admits its shape.
     """
-    rho1, c = _probe(len(U), prec.alpha1)
+    rho1, c = _probe(len(_square_matrix(U)), prec.alpha1)
     return measure_probe(apply_cu(rho1, U), prec) / c
 
 

@@ -176,11 +176,9 @@ def rho_word(b: BraidWord, params: ReprParams | Sequence[ReprParams]) -> np.ndar
     is ``rho_word(b, [params])[0]``.  I for the empty word.  For each entry
     of ``b.alphabet`` the points' images are stacked, and the word is walked
     through ``b.codes`` with one ``np.matmul`` per letter over the whole
-    stack, so no letter is hashed; a stack of one point is walked with
-    ``ndarray.dot`` on its 2x2 views instead, which skips ``matmul``'s
-    dispatch cost.  On a contiguous stack ``matmul`` makes the same zgemm
-    call per point as ``ndarray.dot`` does on one 2x2 product, so every
-    point's product has the bits of its own one-point product; an
+    stack, so no letter is hashed.  On a contiguous stack ``matmul`` makes
+    the same zgemm call for each point, whatever the stack's length, so
+    every point's product has the bits of its own one-point product; an
     elementwise product or ``einsum`` would not, as the BLAS kernel fuses
     its multiply-adds.
 
@@ -206,15 +204,9 @@ def rho_word(b: BraidWord, params: ReprParams | Sequence[ReprParams]) -> np.ndar
     ]
     p = np.tile(np.eye(2, dtype=complex), (len(params), 1, 1))
     q = np.empty_like(p)
-    mul = np.matmul
-    if len(params) == 1:
-        # one point: ndarray.dot on the 2-D views makes the same zgemm call without
-        # matmul's ufunc dispatch, about 1.1 rather than 1.7 us a letter
-        p, q, mul, images = p[0], q[0], np.ndarray.dot, [m[0] for m in images]
     for k in b.codes:
-        mul(p, images[k], out=q)
+        np.matmul(p, images[k], out=q)
         p, q = q, p
-    p = p.reshape(-1, 2, 2)
     defect, bound = _unitarity_defect(p)
     for t in np.flatnonzero(defect > bound):
         # P^-dagger = adj(P)^dagger / conj(det P), written out for 2x2: no LAPACK call

@@ -25,6 +25,7 @@ from braidjones.tlrep import (
     ReprParams,
     build_U,
     delta_from_theta,
+    is_admissible,
     rho_generator,
     rho_word,
     tl_generators,
@@ -71,6 +72,7 @@ def test_criterion_1_tl_algebra():
             assert np.max(np.abs(u1 @ u2 @ u1 - u1)) <= 1e-12
             assert np.max(np.abs(u2 @ u1 @ u2 - u2)) <= 1e-12
             assert abs(np.trace(u1 @ u2) - 1.0) <= 1e-12
+            assert abs(np.trace(u2 @ u1) - 1.0) <= 1e-12
         assert time.perf_counter() - start < 1.0
 
 
@@ -86,6 +88,7 @@ def test_criterion_2_unitarity_boundary():
         for _ in range(50):
             lo, hi = GAPS[int(rng.integers(len(GAPS)))]
             theta = float(rng.uniform(lo + 1e-3, hi - 1e-3))
+            assert not is_admissible(theta)
             u1, u2 = tl_generators(delta_from_theta(theta))
             a = cmath.exp(1j * theta)
             defect = 0.0

@@ -243,23 +243,6 @@ def test_cli_sweep_error_names_the_angle(capsys, monkeypatch):
     assert captured.err == "error: theta = 5.0 deg: a check failed\n"
 
 
-def test_cli_sweep_end_to_end(tmp_path):
-    out = tmp_path / "sweep.csv"
-    result = run_cli(
-        "sweep", "--preset", "trefoil", "--oracle", "--epsilon", "0",
-        "--out", str(out),
-    )
-    assert result.returncode == 0, result.stderr
-    first = out.read_bytes()
-    assert len(first.splitlines()) == 32
-    result = run_cli(
-        "sweep", "--preset", "trefoil", "--oracle", "--epsilon", "0",
-        "--out", str(out),
-    )
-    assert result.returncode == 0
-    assert out.read_bytes() == first
-
-
 @pytest.mark.parametrize(
     "flags, refusal",
     [
@@ -1010,7 +993,7 @@ _FOUND_WORD = (
         pytest.param(["--braid", " ".join(["s1 s2"] * 700), "--theta-min-deg", "330",
                       "--theta-max-deg", "330"], id="endpoint-330"),
         # seeded random words on the 0..30 degree grid, and the 10^4-letter one alone at 15
-        # degrees, where its one-point product is repaired (2.255e-12 > 1.998e-12)
+        # degrees, where its product, a stack of one, is repaired (2.255e-12 > 1.998e-12)
         pytest.param(["--braid", random_word_text(7, 3000), "--theta-step-deg", "5",
                       "--epsilon", "1e-3"], id="random-3000-letters"),
         pytest.param(["--braid", random_word_text(7, 10000), "--theta-step-deg", "5",
@@ -1024,9 +1007,9 @@ def test_cli_sweep_passes_correct_output(argv):
 
 
 def test_one_point_sweep_writes_its_row_of_a_grid_sweep(capsys):
-    # alone at 15 degrees the word walks one 2x2 product with ndarray.dot, which is repaired
-    # (2.255e-12 > 1.998e-12); on the 15..20 grid it walks in a stack of two with matmul.
-    # Row 1 of each is gridpoint 0, so both draw their noise from seed 0
+    # alone at 15 degrees the word walks a stack of one, whose product is repaired
+    # (2.255e-12 > 1.998e-12); on the 15..20 grid it walks a stack of two.  Both make one
+    # matmul per letter.  Row 1 of each is gridpoint 0, so both draw their noise from seed 0
     argv = ["sweep", "--braid", random_word_text(7, 10000), "--epsilon", "1e-3",
             "--theta-min-deg", "15", "--theta-step-deg", "5"]
     assert main([*argv, "--theta-max-deg", "15"]) == 0

@@ -355,20 +355,6 @@ def test_trace_reading_keeps_np_traces_signed_zeros(diagonals):
         assert _hex(v.trace) == _hex(complex(np.trace(u)))
 
 
-def test_oracle_matches_trace_formula_on_presets():
-    words = {
-        "trefoil": parse_braid("s1^3", 3),
-        "figure8": parse_braid("s1 s2^-1 s1 s2^-1", 3),
-        "borromean": parse_braid("s1 s2^-1 s1 s2^-1 s1 s2^-1", 3),
-    }
-    for deg in (0, 7, 15, 30):
-        params = ReprParams.from_theta(math.radians(deg))
-        for word in words.values():
-            bracket = evaluate(word, params).bracket
-            oracle = bracket_state_sum(word, params.A)
-            assert abs(bracket - oracle) < 1e-9
-
-
 def test_oracle_matches_trace_formula_on_random_words():
     rng = np.random.default_rng(34)
     for _ in range(20):
